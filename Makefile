@@ -124,14 +124,18 @@ bench-fleetsim:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetSim1k' -benchtime 1x ./internal/fleetsim/
 
 # Fast perf sanity check: the DES hot path (must stay 0 allocs/op), the
-# replication fan-out, and the fleet ingest path (must stay
-# allocation-free at steady state). The pattern is anchored to the
-# Observe benchmarks — a bare 'BenchmarkFleet' would also pull in the
-# 1M-node BenchmarkFleetIngest1M, which takes minutes per iteration.
+# replication fan-out, the fleet ingest path (must stay
+# allocation-free at steady state), and the SNIP-OPT solve on
+# fleet-shaped problems (a micro-benchmark: 1s x 5 for a stable
+# median). The pattern is anchored to the Observe benchmarks — a bare
+# 'BenchmarkFleet' would also pull in the 1M-node
+# BenchmarkFleetIngest1M, which takes minutes per iteration. The
+# allocation bounds themselves are AllocsPerRun tests run by `make test`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkDES' -benchtime 10000x ./internal/des/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplications' -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetObserve' -benchtime 10000x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSolveLearned$$' -benchtime 1s -count 5 ./internal/opt/
 
 # Snapshot the full benchmark suite (figures + micro-benchmarks) into
 # BENCH_baseline.json so perf regressions show up as diffs. Tables and

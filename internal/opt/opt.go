@@ -15,6 +15,15 @@
 // of the degenerate linear segments (where a whole efficiency class sits
 // at the same marginal price and must be filled fractionally).
 //
+// Every bisection stops at its float64 fixed point: as soon as the
+// midpoint equals the bound it would replace, the loop breaks instead of
+// running out its iteration cap. The test that picks the branch is a
+// pure function of the midpoint, so from that step on every further
+// iteration would compute the same midpoint, take the same branch and
+// leave (lo, hi) unchanged; breaking returns bit for bit what the full
+// count would. The caps stay as a bound for intervals that shrink
+// toward zero through the subnormals.
+//
 // A slow brute-force allocator is included for cross-checking in tests.
 package opt
 
@@ -189,6 +198,8 @@ type slotCurve struct {
 	phiMax   float64 // energy at dMax
 	effLin   float64 // marginal capacity per energy on the linear branch
 	capTotal float64 // total arriving capacity in the slot
+	h        float64 // finite-difference step of marginal
+	mCap     float64 // marginal just below the duty cap
 
 	// grid caches zeta at evenly spaced duty cycles above the knee for
 	// distributed contact lengths, whose exact evaluation needs a
@@ -223,11 +234,15 @@ func newSlotCurve(cfg model.Config, proc model.SlotProcess, dMax float64) slotCu
 			c.grid[i] = proc.ProbedCapacity(cfg, c.dKnee+float64(i)*c.gridStep)
 		}
 	}
+	c.h = math.Max(c.phiMax*1e-7, 1e-9)
+	c.mCap = c.marginal(c.phiMax * (1 - 1e-9))
 	return c
 }
 
 // zeta returns the probed capacity for energy phi spent on this slot.
-func (c slotCurve) zeta(phi float64) float64 {
+//
+//rushlint:hotpath
+func (c *slotCurve) zeta(phi float64) float64 {
 	if phi <= 0 || c.capTotal == 0 {
 		return 0
 	}
@@ -252,14 +267,16 @@ func (c slotCurve) zeta(phi float64) float64 {
 
 // marginal returns d zeta / d phi at energy phi (right derivative below
 // the cap, backward at the cap), evaluated numerically above the knee.
-func (c slotCurve) marginal(phi float64) float64 {
+//
+//rushlint:hotpath
+func (c *slotCurve) marginal(phi float64) float64 {
 	if c.capTotal == 0 {
 		return 0
 	}
 	if phi < c.phiKnee-tol {
 		return c.effLin
 	}
-	h := math.Max(c.phiMax*1e-7, 1e-9)
+	h := c.h
 	if phi+h > c.phiMax {
 		phi = c.phiMax - h
 		if phi < c.phiKnee {
@@ -273,61 +290,82 @@ func (c slotCurve) marginal(phi float64) float64 {
 // efficiency still meets price lambda. For lambda above the linear
 // efficiency it returns 0; for lambda below the efficiency at the duty
 // cap it returns phiMax; otherwise it bisects on the saturating branch.
-func (c slotCurve) phiForMarginal(lambda float64) float64 {
+//
+//rushlint:hotpath
+func (c *slotCurve) phiForMarginal(lambda float64) float64 {
 	if c.capTotal == 0 || lambda > c.effLin+tol {
 		return 0
 	}
-	if m := c.marginal(c.phiMax * (1 - 1e-9)); lambda <= m {
+	if lambda <= c.mCap {
 		return c.phiMax
 	}
 	lo, hi := c.phiKnee, c.phiMax
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
 		if c.marginal(mid) >= lambda {
+			if mid == lo {
+				break
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break
+			}
 			hi = mid
 		}
 	}
 	return lo
 }
 
+// fillEnergy sets phis to each curve's energy at price lambda and
+// returns the total energy.
+func fillEnergy(curves []slotCurve, phis []float64, lambda float64) float64 {
+	s := 0.0
+	for i := range curves {
+		phis[i] = curves[i].phiForMarginal(lambda)
+		s += phis[i]
+	}
+	return s
+}
+
+// fillCapacity sets phis to each curve's energy at price lambda and
+// returns the total capacity that energy probes.
+func fillCapacity(curves []slotCurve, phis []float64, lambda float64) float64 {
+	z := 0.0
+	for i := range curves {
+		c := &curves[i]
+		phis[i] = c.phiForMarginal(lambda)
+		z += c.zeta(phis[i])
+	}
+	return z
+}
+
 // maximizeZeta implements step 1: spend at most PhiMax to maximize zeta.
 func maximizeZeta(p Problem, curves []slotCurve) Plan {
-	total := func(lambda float64) float64 {
-		s := 0.0
-		for _, c := range curves {
-			s += c.phiForMarginal(lambda)
-		}
-		return s
-	}
 	// If even at price ~0 the whole system wants less energy than the
 	// budget, spend what the curves can absorb.
-	phiAll := total(tol)
-	if phiAll <= p.PhiMax+tol {
-		phis := make([]float64, len(curves))
-		for i, c := range curves {
-			phis[i] = c.phiForMarginal(tol)
-		}
+	phis := make([]float64, len(curves))
+	if fillEnergy(curves, phis, tol) <= p.PhiMax+tol {
 		return assemble(p, curves, phis, true /* budget had headroom */)
 	}
 	// Bisect lambda so that total allocated energy equals the budget.
 	loL, hiL := 0.0, maxLinearEff(curves)*2+1
 	for i := 0; i < 200; i++ {
 		mid := (loL + hiL) / 2
-		if total(mid) > p.PhiMax {
+		if fillEnergy(curves, phis, mid) > p.PhiMax {
+			if mid == loL {
+				break
+			}
 			loL = mid
 		} else {
+			if mid == hiL {
+				break
+			}
 			hiL = mid
 		}
 	}
 	lambda := hiL
-	phis := make([]float64, len(curves))
-	used := 0.0
-	for i, c := range curves {
-		phis[i] = c.phiForMarginal(lambda)
-		used += phis[i]
-	}
+	used := fillEnergy(curves, phis, lambda)
 	distributeSlack(p, curves, phis, p.PhiMax-used, lambda)
 	return assemble(p, curves, phis, false)
 }
@@ -339,34 +377,31 @@ func minimizePhi(p Problem, curves []slotCurve) Plan {
 	if p.ZetaTarget <= tol {
 		return assemble(p, curves, make([]float64, len(curves)), true)
 	}
-	zetaAt := func(lambda float64) (float64, []float64) {
-		phis := make([]float64, len(curves))
-		z := 0.0
-		for i, c := range curves {
-			phis[i] = c.phiForMarginal(lambda)
-			z += c.zeta(phis[i])
-		}
-		return z, phis
-	}
 	// Higher lambda -> less energy -> less capacity. Bisect to the
 	// smallest capacity still meeting the target.
+	phis := make([]float64, len(curves))
 	loL, hiL := 0.0, maxLinearEff(curves)*2+1
 	for i := 0; i < 200; i++ {
 		mid := (loL + hiL) / 2
-		z, _ := zetaAt(mid)
-		if z >= p.ZetaTarget {
+		if fillCapacity(curves, phis, mid) >= p.ZetaTarget {
+			if mid == loL {
+				break
+			}
 			loL = mid
 		} else {
+			if mid == hiL {
+				break
+			}
 			hiL = mid
 		}
 	}
 	lambda := loL
-	z, phis := zetaAt(lambda)
+	z := fillCapacity(curves, phis, lambda)
 	// The allocation at lambda may overshoot because a whole efficiency
 	// class switched on at once; peel the surplus back from the marginal
 	// class (all its members share the same efficiency, so removal order
 	// inside the class does not change Phi).
-	trimSurplus(curves, phis, z-p.ZetaTarget, lambda)
+	trimSurplus(curves, phis, z-p.ZetaTarget)
 	return assemble(p, curves, phis, true)
 }
 
@@ -388,7 +423,8 @@ func distributeSlack(p Problem, curves []slotCurve, phis []float64, slack, lambd
 		cands     []cand
 		totalRoom float64
 	)
-	for i, c := range curves {
+	for i := range curves {
+		c := &curves[i]
 		if c.capTotal == 0 {
 			continue
 		}
@@ -423,7 +459,7 @@ func distributeSlack(p Problem, curves []slotCurve, phis []float64, slack, lambd
 
 // trimSurplus removes surplus capacity from the least-efficient filled
 // slots so that step 2 lands exactly on the target.
-func trimSurplus(curves []slotCurve, phis []float64, surplus, lambda float64) {
+func trimSurplus(curves []slotCurve, phis []float64, surplus float64) {
 	if surplus <= tol {
 		return
 	}
@@ -434,7 +470,8 @@ func trimSurplus(curves []slotCurve, phis []float64, surplus, lambda float64) {
 		eff float64
 	}
 	var cands []cand
-	for i, c := range curves {
+	for i := range curves {
+		c := &curves[i]
 		if phis[i] <= tol || c.capTotal == 0 {
 			continue
 		}
@@ -450,7 +487,7 @@ func trimSurplus(curves []slotCurve, phis []float64, surplus, lambda float64) {
 		if surplus <= tol {
 			return
 		}
-		c := curves[cd.i]
+		c := &curves[cd.i]
 		if cd.eff <= 0 {
 			continue
 		}
@@ -478,7 +515,6 @@ func trimSurplus(curves []slotCurve, phis []float64, surplus, lambda float64) {
 			surplus -= removablePhi * c.effLin
 		}
 	}
-	_ = lambda
 }
 
 func buildCurves(p Problem) []slotCurve {
@@ -491,8 +527,8 @@ func buildCurves(p Problem) []slotCurve {
 
 func maxLinearEff(curves []slotCurve) float64 {
 	m := 0.0
-	for _, c := range curves {
-		m = math.Max(m, c.effLin)
+	for i := range curves {
+		m = math.Max(m, curves[i].effLin)
 	}
 	return m
 }
@@ -500,12 +536,12 @@ func maxLinearEff(curves []slotCurve) float64 {
 func assemble(p Problem, curves []slotCurve, phis []float64, headroom bool) Plan {
 	duty := make([]float64, len(curves))
 	zeta, phi := 0.0, 0.0
-	for i, c := range curves {
+	for i := range curves {
 		duty[i] = phis[i] / p.Slots[i].Duration
 		if duty[i] > p.maxDuty() {
 			duty[i] = p.maxDuty()
 		}
-		zeta += c.zeta(phis[i])
+		zeta += curves[i].zeta(phis[i])
 		phi += phis[i]
 	}
 	return Plan{
@@ -540,7 +576,8 @@ func BruteForce(p Problem, steps int) (Plan, error) {
 		zeta := 0.0
 		for spent+quantum <= budget+tol {
 			best, bestGain := -1, 0.0
-			for i, c := range curves {
+			for i := range curves {
+				c := &curves[i]
 				if phis[i]+quantum > c.phiMax {
 					continue
 				}

@@ -142,11 +142,16 @@ var _ Backend = (*HTTPBackend)(nil)
 // client; scatter calls are additionally bounded by their context.
 const defaultHTTPTimeout = 30 * time.Second
 
+// defaultClient serves every HTTPBackend without its own Client. It
+// pools connections in http.DefaultTransport, so sequential calls to a
+// shard reuse one keep-alive connection.
+var defaultClient = &http.Client{Timeout: defaultHTTPTimeout}
+
 func (b *HTTPBackend) client() *http.Client {
 	if b.Client != nil {
 		return b.Client
 	}
-	return &http.Client{Timeout: defaultHTTPTimeout}
+	return defaultClient
 }
 
 // errorBody is the daemon's JSON error payload.
@@ -180,11 +185,15 @@ func (b *HTTPBackend) call(ctx context.Context, method, path string, in, out any
 	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
 		return httpError(method, path, resp)
 	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return err
+		}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read to EOF (the decoder may stop short of a trailing newline or
+	// a chunked terminator) so the transport keeps the connection.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // httpError turns a non-2xx daemon response into an error carrying the

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rushprobe/internal/fleet"
@@ -640,6 +642,54 @@ func TestHTTPBackendRejectsShortBatch(t *testing.T) {
 	_, err := b.ScheduleBatch(context.Background(), []string{"a", "b"})
 	if err == nil || !strings.Contains(err.Error(), "0 schedules for 2 nodes") {
 		t.Fatalf("cardinality mismatch not caught: %v", err)
+	}
+}
+
+// TestHTTPBackendReusesConnection pins the router hop's connection
+// reuse: sequential Observe and ScheduleBatch calls ride one keep-alive
+// TCP connection, counted with the server's ConnState hook. Small
+// replies carry a Content-Length and decode to EOF on their own; a
+// ScheduleBatch reply over 100 nodes is chunked, and the JSON decoder
+// stops before its terminator, so only draining the body to EOF lets
+// the transport park the connection (without it, every such call
+// dialled anew). A backend with no Client shares one package-level
+// default instead of building one per call.
+func TestHTTPBackendReusesConnection(t *testing.T) {
+	if (&HTTPBackend{}).client() != (&HTTPBackend{}).client() {
+		t.Fatal("backends without a Client do not share the default client")
+	}
+	for _, tc := range []struct{ nodes, rounds int }{{4, 200}, {100, 20}} {
+		var opened atomic.Int64
+		srv := httptest.NewUnstartedServer(&shardDaemon{f: newShardFleet(t)})
+		srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				opened.Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+
+		b := &HTTPBackend{BaseURL: srv.URL}
+		ctx := context.Background()
+		ids := make([]string, tc.nodes)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("n%d", i)
+		}
+		for i := 0; i < tc.rounds; i++ {
+			batch := make([]fleet.Observation, len(ids))
+			for j, id := range ids {
+				batch[j] = fleet.Observation{Node: id, Time: float64(i*len(ids)+j) * 60, Length: 2, Uploaded: -1}
+			}
+			if _, err := b.Observe(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.ScheduleBatch(ctx, ids); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := opened.Load(); n != 1 {
+			t.Errorf("%d sequential calls over %d nodes opened %d TCP connections, want 1", 2*tc.rounds, tc.nodes, n)
+		}
 	}
 }
 

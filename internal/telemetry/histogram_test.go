@@ -165,6 +165,18 @@ func snapshotViaText(t *testing.T, h *Histogram) ParsedHistogram {
 	return f.Histogram()
 }
 
+func TestHistogramObserveAllocatesNothing(t *testing.T) {
+	h := NewHistogram("alloc_seconds", "help")
+	d := time.Microsecond
+	allocs := testing.AllocsPerRun(1000, func() {
+		h.Observe(d)
+		d += 37 * time.Microsecond
+	})
+	if allocs != 0 {
+		t.Fatalf("Histogram.Observe allocates %.0f times, want 0", allocs)
+	}
+}
+
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram("bench_seconds", "help")
 	b.ReportAllocs()
