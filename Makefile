@@ -37,16 +37,21 @@ race:
 lint:
 	$(GO) run ./cmd/rushlint ./...
 
-# Fuzz the binary persistence formats: the snaplog frame decoder and
-# the packed profile record. Arbitrary bytes must never panic or
-# over-allocate, and valid encodings must round-trip exactly. Go runs
-# one fuzz target per invocation, hence the two lines. Raise the budget
-# for longer local runs: make fuzz FUZZTIME=5m
+# Fuzz the binary persistence formats and the observe wire format: the
+# snaplog frame decoder and the packed profile record (arbitrary bytes
+# must never panic or over-allocate, and valid encodings must
+# round-trip exactly), the observe-body scanner (it must decode every
+# input exactly as encoding/json does), and node-ID path escaping
+# (every ID must round-trip). Go runs one fuzz target per invocation,
+# hence one line each. Raise the budget for longer local runs:
+# make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzSnaplogDecode$$' -fuzztime $(FUZZTIME) ./internal/snaplog/
 	$(GO) test -run '^$$' -fuzz 'FuzzProfileRecordRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/learn/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeObserve$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz 'FuzzNodePath$$' -fuzztime $(FUZZTIME) ./internal/wire/
 
 # Short fuzz pass for CI.
 fuzz-smoke:
@@ -125,9 +130,10 @@ bench-fleetsim:
 
 # Fast perf sanity check: the DES hot path (must stay 0 allocs/op), the
 # replication fan-out, the fleet ingest path (must stay
-# allocation-free at steady state), and the SNIP-OPT solve on
-# fleet-shaped problems (a micro-benchmark: 1s x 5 for a stable
-# median). The pattern is anchored to the Observe benchmarks — a bare
+# allocation-free at steady state), and two micro-benchmarks at 1s x 5
+# for a stable median: the SNIP-OPT solve on fleet-shaped problems and
+# the observe-body decode (one-pass scanner beside encoding/json). The
+# pattern is anchored to the Observe benchmarks — a bare
 # 'BenchmarkFleet' would also pull in the 1M-node
 # BenchmarkFleetIngest1M, which takes minutes per iteration. The
 # allocation bounds themselves are AllocsPerRun tests run by `make test`.
@@ -136,6 +142,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplications' -benchtime 1x ./internal/sim/
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetObserve' -benchtime 10000x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveLearned$$' -benchtime 1s -count 5 ./internal/opt/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeObserve' -benchtime 1s -count 5 ./internal/wire/
 
 # Snapshot the full benchmark suite (figures + micro-benchmarks) into
 # BENCH_baseline.json so perf regressions show up as diffs. Tables and

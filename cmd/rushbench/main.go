@@ -54,6 +54,7 @@ import (
 	"rushprobe/internal/simtime"
 	"rushprobe/internal/telemetry"
 	"rushprobe/internal/trace"
+	"rushprobe/internal/wire"
 )
 
 func main() {
@@ -446,15 +447,6 @@ type batchPlan struct {
 	at    time.Duration
 }
 
-type observeRequest struct {
-	Observations []rushprobe.Observation `json:"observations"`
-}
-
-type observeResponse struct {
-	Received int `json:"received"`
-	Accepted int `json:"accepted"`
-}
-
 // bench runs the replay and collects the summary.
 func bench(cfg config) (*Summary, error) {
 	contacts, source, err := loadContacts(cfg.tracePath, cfg.seed)
@@ -542,7 +534,7 @@ func bench(cfg config) (*Summary, error) {
 		for j := range obs {
 			obs[j] = cursors[node].next(span)
 		}
-		body, err := json.Marshal(observeRequest{Observations: obs})
+		body, err := json.Marshal(wire.ObserveRequest{Observations: obs})
 		if err != nil {
 			return nil, err
 		}
@@ -681,7 +673,7 @@ func driftReport(client *http.Client, base string, nodeIDs []string, injectEpoch
 			FirstDriftEpoch int   `json:"firstDriftEpoch"`
 			LastDriftEpoch  int   `json:"lastDriftEpoch"`
 		}
-		if err := getJSON(client, base+"/v1/profile/"+id, &prof); err != nil {
+		if err := getJSON(client, base+wire.NodePath("/v1/profile/", id), &prof); err != nil {
 			return nil, fmt.Errorf("profile %s: %w", id, err)
 		}
 		if prof.DriftEvents == 0 {
@@ -757,7 +749,7 @@ func strategyReports(client *http.Client, base string, groups, nodeIDs []string)
 			Zeta      float64 `json:"zeta"`
 			Phi       float64 `json:"phi"`
 		}
-		if err := getJSON(client, base+"/v1/schedule/"+id, &sched); err != nil {
+		if err := getJSON(client, base+wire.NodePath("/v1/schedule/", id), &sched); err != nil {
 			return nil, fmt.Errorf("schedule %s: %w", id, err)
 		}
 		aggs[g].zeta += sched.Zeta
@@ -835,7 +827,7 @@ func batchScheduleReport(client *http.Client, base string, nodeIDs []string) *Ba
 		// decoding both paths into Schedule and re-marshaling compares
 		// the plans themselves, byte for byte.
 		var single rushprobe.Schedule
-		if err := getJSON(client, base+"/v1/schedule/"+id, &single); err != nil {
+		if err := getJSON(client, base+wire.NodePath("/v1/schedule/", id), &single); err != nil {
 			rep.Error = fmt.Sprintf("schedule %s: %v", id, err)
 			return rep
 		}
@@ -890,7 +882,7 @@ func setStrategy(base, node, name string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(base+"/v1/strategy/"+node, "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+wire.NodePath("/v1/strategy/", node), "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -962,7 +954,7 @@ func postObserve(client *http.Client, base string, body []byte, retries int) (in
 			status = resp.StatusCode
 			retryAfter = resp.Header.Get("Retry-After")
 			if status == http.StatusOK {
-				var or observeResponse
+				var or wire.ObserveResponse
 				derr := json.NewDecoder(resp.Body).Decode(&or)
 				resp.Body.Close()
 				if derr != nil {

@@ -14,6 +14,7 @@ import (
 
 	"rushprobe"
 	"rushprobe/internal/contact"
+	"rushprobe/internal/wire"
 )
 
 // newFleetServer is a minimal in-test rushprobed: the daemon's
@@ -39,13 +40,13 @@ func newFleetServer(t *testing.T, opts ...rushprobe.FleetOption) *httptest.Serve
 		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/v1/observe", func(w http.ResponseWriter, r *http.Request) {
-		var req observeRequest
+		var req wire.ObserveRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		acc := f.Observe(req.Observations)
-		json.NewEncoder(w).Encode(observeResponse{Received: len(req.Observations), Accepted: acc})
+		json.NewEncoder(w).Encode(wire.ObserveResponse{Received: len(req.Observations), Accepted: acc})
 	})
 	mux.HandleFunc("/v1/schedule/", func(w http.ResponseWriter, r *http.Request) {
 		node := strings.TrimPrefix(r.URL.Path, "/v1/schedule/")

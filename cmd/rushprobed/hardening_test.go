@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rushprobe"
+	"rushprobe/internal/wire"
 )
 
 // TestMetricsEndpoint scrapes /metrics end to end: ingest a trace,
@@ -28,7 +29,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	obs := traceObservations(t, "metrics-node", 1, 4)
-	body, err := json.Marshal(observeRequest{Observations: obs})
+	body, err := json.Marshal(wire.ObserveRequest{Observations: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestObserveShedsAtCapacity(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	body, err := json.Marshal(observeRequest{Observations: []rushprobe.Observation{
+	body, err := json.Marshal(wire.ObserveRequest{Observations: []rushprobe.Observation{
 		{Node: "shed-node", Time: 30, Length: 2, Uploaded: -1},
 	}})
 	if err != nil {
@@ -121,7 +122,7 @@ func TestObserveShedsAtCapacity(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d after draining, want 200", resp.StatusCode)
 	}
-	var or observeResponse
+	var or wire.ObserveResponse
 	if err := json.Unmarshal(readBody(t, resp), &or); err != nil || or.Accepted != 1 {
 		t.Fatalf("post-drain observe: %v %+v", err, or)
 	}

@@ -52,13 +52,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -71,6 +69,7 @@ import (
 	"rushprobe/internal/simtime"
 	"rushprobe/internal/telemetry"
 	"rushprobe/internal/trace"
+	"rushprobe/internal/wire"
 )
 
 func main() {
@@ -520,16 +519,6 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// observeRequest is the POST /v1/observe body.
-type observeRequest struct {
-	Observations []rushprobe.Observation `json:"observations"`
-}
-
-type observeResponse struct {
-	Received int `json:"received"`
-	Accepted int `json:"accepted"`
-}
-
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
@@ -558,31 +547,46 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	var req observeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxObserveBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode: %v", err)
+	obs, ok := decodeObserveBody(w, r, maxObserveBody)
+	if !ok {
 		return
 	}
-	accepted := s.fleet.ObserveContext(r.Context(), req.Observations)
-	writeJSON(w, http.StatusOK, observeResponse{Received: len(req.Observations), Accepted: accepted})
+	accepted := s.fleet.ObserveContext(r.Context(), obs)
+	writeJSON(w, http.StatusOK, wire.ObserveResponse{Received: len(obs), Accepted: accepted})
 }
 
-// nodeParam extracts the node ID from a /v1/<verb>/{node} path. It
-// works on the escaped path and unescapes the remainder itself:
-// clients percent-escape IDs (HTTPBackend does, so slashes and dots
-// survive routing), and reading r.URL.Path would hand back an ID the
-// mux already decoded — correct for most IDs, but unable to tell a
-// malformed escape from a literal %, and blind to IDs the cleaner
-// would have rewritten. A remainder that does not unescape is an
-// error the handler turns into a 400.
-func nodeParam(r *http.Request, prefix string) (string, error) {
-	raw := strings.TrimPrefix(r.URL.EscapedPath(), prefix)
-	node, err := url.PathUnescape(raw)
-	if err != nil {
-		return "", fmt.Errorf("malformed node ID %q: %v", raw, err)
+// maxObservePresize caps the buffer decodeObserveBody allocates up
+// front from Content-Length. Presizing makes reading a 21 KB body about
+// 5x cheaper than letting the buffer grow (5 us against 25 us, 2
+// allocations against 13, on a 2-core Xeon), but the header is
+// client-controlled, so a larger declared body grows the buffer only as
+// its bytes arrive.
+const maxObservePresize = 1 << 20
+
+// decodeObserveBody reads a whole POST /v1/observe body of at most
+// limit bytes and decodes it with wire.DecodeObserve. On failure it
+// answers 400 "decode: <error>" and returns false. An over-limit body
+// fails as "request body too large" even when a complete JSON value
+// precedes the excess, and one that declares an over-limit
+// Content-Length fails before any of it is read.
+func decodeObserveBody(w http.ResponseWriter, r *http.Request, limit int64) ([]rushprobe.Observation, bool) {
+	if r.ContentLength > limit {
+		writeError(w, http.StatusBadRequest, "decode: %v", &http.MaxBytesError{Limit: limit})
+		return nil, false
 	}
-	return node, nil
+	presize := min(max(r.ContentLength, 0), maxObservePresize)
+	// bytes.MinRead of slack lets ReadFrom see EOF without regrowing.
+	buf := bytes.NewBuffer(make([]byte, 0, presize+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	var obs []rushprobe.Observation
+	if err == nil {
+		obs, err = wire.DecodeObserve(buf.Bytes(), nil)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decode: %v", err)
+		return nil, false
+	}
+	return obs, true
 }
 
 // scheduleResponse wraps a schedule with the node it was served for.
@@ -596,7 +600,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	node, err := nodeParam(r, "/v1/schedule/")
+	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/schedule/")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -669,7 +673,7 @@ func (s *server) handleStrategy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	node, err := nodeParam(r, "/v1/strategy/")
+	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/strategy/")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -709,7 +713,7 @@ func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	node, err := nodeParam(r, "/v1/profile/")
+	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/profile/")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -1144,11 +1148,11 @@ func smokeTest(srv *server, tracePath string, nodes int, opsURL string, out io.W
 			})
 		}
 	}
-	body, err := json.Marshal(observeRequest{Observations: obs})
+	body, err := json.Marshal(wire.ObserveRequest{Observations: obs})
 	if err != nil {
 		return err
 	}
-	var or observeResponse
+	var or wire.ObserveResponse
 	if err := postJSON(base+"/v1/observe", body, &or); err != nil {
 		return err
 	}

@@ -17,6 +17,7 @@ import (
 	"rushprobe/internal/rng"
 	"rushprobe/internal/scenario"
 	"rushprobe/internal/simtime"
+	"rushprobe/internal/wire"
 )
 
 func newTestFleet(t *testing.T) *rushprobe.Fleet {
@@ -93,12 +94,12 @@ func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 			batch = append(batch, o)
 		}
 		if (n+1)%batchNodes == 0 {
-			body, err := json.Marshal(observeRequest{Observations: batch})
+			body, err := json.Marshal(wire.ObserveRequest{Observations: batch})
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp := mustPost(t, srv1.URL+"/v1/observe", body)
-			var or observeResponse
+			var or wire.ObserveResponse
 			if err := json.Unmarshal(readBody(t, resp), &or); err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +242,7 @@ func TestStrategyEndpoint(t *testing.T) {
 
 	// Past bootstrap so learned plans are served (default 3 epochs).
 	obs := traceObservations(t, "n1", 3, 5)
-	body, err := json.Marshal(observeRequest{Observations: obs})
+	body, err := json.Marshal(wire.ObserveRequest{Observations: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"rushprobe"
+	"rushprobe/internal/wire"
 )
 
 // migrationTopology is a routed topology under test: shard daemons
@@ -132,7 +133,7 @@ func TestRebalancePreservesSchedules(t *testing.T) {
 					return
 				default:
 				}
-				body, _ := json.Marshal(observeRequest{Observations: []rushprobe.Observation{
+				body, _ := json.Marshal(wire.ObserveRequest{Observations: []rushprobe.Observation{
 					{Node: fmt.Sprintf("live-%d-%d", g, i%13), Time: float64(i%86400) + 1, Length: 1.5, Uploaded: -1},
 				}})
 				or := mustPost(t, top.routerURL+"/v1/observe", body)
@@ -351,12 +352,12 @@ func TestRoutedAwkwardNodeIDsRoundTrip(t *testing.T) {
 			batch = append(batch, o)
 		}
 	}
-	body, err := json.Marshal(observeRequest{Observations: batch})
+	body, err := json.Marshal(wire.ObserveRequest{Observations: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp := mustPost(t, top.routerURL+"/v1/observe", body)
-	var or observeResponse
+	var or wire.ObserveResponse
 	if err := json.Unmarshal(readBody(t, resp), &or); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"rushprobe"
 	"rushprobe/internal/shardroute"
 	"rushprobe/internal/telemetry"
+	"rushprobe/internal/wire"
 )
 
 // routerServer serves the daemon's API in -route mode: the same
@@ -75,22 +76,20 @@ func (s *routerServer) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req observeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxObserveBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode: %v", err)
+	obs, ok := decodeObserveBody(w, r, maxObserveBody)
+	if !ok {
 		return
 	}
-	accepted, err := s.rt.Observe(r.Context(), req.Observations)
+	accepted, err := s.rt.Observe(r.Context(), obs)
 	if err != nil {
 		// Partial scatter failure: some shards folded their slice, some
 		// did not. Surface it as a bad gateway with the accepted count
 		// so reporters know what landed.
 		s.logger.Warn("routed observe failed on some shards", "accepted", accepted, "err", err)
-		writeError(w, http.StatusBadGateway, "observe: accepted %d of %d: %v", accepted, len(req.Observations), err)
+		writeError(w, http.StatusBadGateway, "observe: accepted %d of %d: %v", accepted, len(obs), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, observeResponse{Received: len(req.Observations), Accepted: accepted})
+	writeJSON(w, http.StatusOK, wire.ObserveResponse{Received: len(obs), Accepted: accepted})
 }
 
 func (s *routerServer) handleSchedule(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +97,7 @@ func (s *routerServer) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	node, err := nodeParam(r, "/v1/schedule/")
+	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/schedule/")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -141,7 +140,7 @@ func (s *routerServer) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	node, err := nodeParam(r, "/v1/profile/")
+	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/profile/")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -163,7 +162,7 @@ func (s *routerServer) handleStrategy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	node, err := nodeParam(r, "/v1/strategy/")
+	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/strategy/")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

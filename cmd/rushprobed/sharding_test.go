@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"rushprobe"
+	"rushprobe/internal/wire"
 )
 
 // ingestNodes drives a few distinct traffic patterns into the fleet
@@ -28,12 +29,12 @@ func ingestNodes(t *testing.T, baseURL string, nodes int) []string {
 			batch = append(batch, o)
 		}
 	}
-	body, err := json.Marshal(observeRequest{Observations: batch})
+	body, err := json.Marshal(wire.ObserveRequest{Observations: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp := mustPost(t, baseURL+"/v1/observe", body)
-	var or observeResponse
+	var or wire.ObserveResponse
 	if err := json.Unmarshal(readBody(t, resp), &or); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rushprobe"
+	"rushprobe/internal/wire"
 )
 
 // newTelemeteredFleet builds a fleet armed with a telemetry bundle, as
@@ -39,7 +40,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 	defer srv.Close()
 
 	obs := traceObservations(t, "tel-node", 2, 4)
-	body, err := json.Marshal(observeRequest{Observations: obs})
+	body, err := json.Marshal(wire.ObserveRequest{Observations: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestTracesEndpoint(t *testing.T) {
 	defer srv.Close()
 
 	obs := traceObservations(t, "trace-node", 5, 2)
-	body, err := json.Marshal(observeRequest{Observations: obs})
+	body, err := json.Marshal(wire.ObserveRequest{Observations: obs})
 	if err != nil {
 		t.Fatal(err)
 	}

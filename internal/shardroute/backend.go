@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"rushprobe/internal/fleet"
+	"rushprobe/internal/wire"
 )
 
 // Backend is one fleet shard behind the router: the serving surface a
@@ -207,31 +207,9 @@ func httpError(method, path string, resp *http.Response) error {
 	return fmt.Errorf("shardroute: %s %s: HTTP %d", method, path, resp.StatusCode)
 }
 
-// escapeNode makes a node ID safe as a single path segment.
-// url.PathEscape leaves dots unescaped, so the IDs "." and ".." would
-// be path-cleaned into a different route (and a different identity) by
-// the daemon's mux; encoding their dots keeps every ID addressable.
-func escapeNode(node string) string {
-	switch node {
-	case ".":
-		return "%2E"
-	case "..":
-		return "%2E%2E"
-	}
-	return url.PathEscape(node)
-}
-
-type observeWire struct {
-	Observations []fleet.Observation `json:"observations"`
-}
-
-type observeReply struct {
-	Accepted int `json:"accepted"`
-}
-
 func (b *HTTPBackend) Observe(ctx context.Context, batch []fleet.Observation) (int, error) {
-	var out observeReply
-	if err := b.call(ctx, http.MethodPost, "/v1/observe", observeWire{Observations: batch}, &out); err != nil {
+	var out wire.ObserveResponse
+	if err := b.call(ctx, http.MethodPost, "/v1/observe", wire.ObserveRequest{Observations: batch}, &out); err != nil {
 		return 0, err
 	}
 	return out.Accepted, nil
@@ -239,7 +217,7 @@ func (b *HTTPBackend) Observe(ctx context.Context, batch []fleet.Observation) (i
 
 func (b *HTTPBackend) Schedule(ctx context.Context, node string) (*fleet.Schedule, error) {
 	var out fleet.Schedule
-	if err := b.call(ctx, http.MethodGet, "/v1/schedule/"+escapeNode(node), nil, &out); err != nil {
+	if err := b.call(ctx, http.MethodGet, wire.NodePath("/v1/schedule/", node), nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -274,7 +252,7 @@ type strategyReply struct {
 
 func (b *HTTPBackend) SetStrategy(ctx context.Context, node, name string) (string, error) {
 	var out strategyReply
-	if err := b.call(ctx, http.MethodPost, "/v1/strategy/"+escapeNode(node), strategyWire{Strategy: name}, &out); err != nil {
+	if err := b.call(ctx, http.MethodPost, wire.NodePath("/v1/strategy/", node), strategyWire{Strategy: name}, &out); err != nil {
 		return "", err
 	}
 	return out.Strategy, nil
@@ -282,7 +260,7 @@ func (b *HTTPBackend) SetStrategy(ctx context.Context, node, name string) (strin
 
 func (b *HTTPBackend) Profile(ctx context.Context, node string) (fleet.NodeProfile, error) {
 	var out fleet.NodeProfile
-	err := b.call(ctx, http.MethodGet, "/v1/profile/"+escapeNode(node), nil, &out)
+	err := b.call(ctx, http.MethodGet, wire.NodePath("/v1/profile/", node), nil, &out)
 	return out, err
 }
 
