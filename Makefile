@@ -40,16 +40,19 @@ lint:
 # Fuzz the binary persistence formats and the observe wire format: the
 # snaplog frame decoder and the packed profile record (arbitrary bytes
 # must never panic or over-allocate, and valid encodings must
-# round-trip exactly), the observe-body scanner (it must decode every
-# input exactly as encoding/json does), and node-ID path escaping
-# (every ID must round-trip). Go runs one fuzz target per invocation,
-# hence one line each. Raise the budget for longer local runs:
+# round-trip exactly), shard-handoff import (a rejected payload must
+# leave the fleet untouched, an accepted one must re-export and import
+# identically), the observe-body scanner (it must decode every input
+# exactly as encoding/json does), and node-ID path escaping (every ID
+# must round-trip). Go runs one fuzz target per invocation, hence one
+# line each. Raise the budget for longer local runs:
 # make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzSnaplogDecode$$' -fuzztime $(FUZZTIME) ./internal/snaplog/
 	$(GO) test -run '^$$' -fuzz 'FuzzProfileRecordRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/learn/
+	$(GO) test -run '^$$' -fuzz 'FuzzImportFrames$$' -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeObserve$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzNodePath$$' -fuzztime $(FUZZTIME) ./internal/wire/
 
@@ -130,9 +133,10 @@ bench-fleetsim:
 
 # Fast perf sanity check: the DES hot path (must stay 0 allocs/op), the
 # replication fan-out, the fleet ingest path (must stay
-# allocation-free at steady state), and two micro-benchmarks at 1s x 5
-# for a stable median: the SNIP-OPT solve on fleet-shaped problems and
-# the observe-body decode (one-pass scanner beside encoding/json). The
+# allocation-free at steady state), and micro-benchmarks at 1s x 5 for
+# a stable median: the SNIP-OPT solve on fleet-shaped problems, the
+# observe-body decode (one-pass scanner beside encoding/json), and the
+# binary snapshot codec's encode and restore (ns/node, allocs/node). The
 # pattern is anchored to the Observe benchmarks — a bare
 # 'BenchmarkFleet' would also pull in the 1M-node
 # BenchmarkFleetIngest1M, which takes minutes per iteration. The
@@ -143,6 +147,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleetObserve' -benchtime 10000x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSolveLearned$$' -benchtime 1s -count 5 ./internal/opt/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodeObserve' -benchtime 1s -count 5 ./internal/wire/
+	$(GO) test -run '^$$' -bench 'BenchmarkSnapshot(Encode|Restore)$$' -benchtime 1s -count 5 ./internal/fleet/
 
 # Snapshot the full benchmark suite (figures + micro-benchmarks) into
 # BENCH_baseline.json so perf regressions show up as diffs. Tables and

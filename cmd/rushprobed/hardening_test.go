@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -176,4 +177,88 @@ func TestSlowClientEvicted(t *testing.T) {
 	if waited := time.Since(start); waited >= 5*time.Second {
 		t.Fatalf("connection still open after %v; ReadHeaderTimeout did not evict", waited)
 	}
+}
+
+// TestRouterObserveShedsAtCapacity is the router's ingest bound: with
+// -max-inflight-observe 1 and the one admitted observe stuck on a
+// blocked backend, the next observe is shed with 429 + Retry-After
+// (counted in /metrics) instead of piling another body onto the hop,
+// and observes flow again once the backend answers.
+func TestRouterObserveShedsAtCapacity(t *testing.T) {
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	first := true
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/observe" {
+			http.NotFound(w, r)
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		if first {
+			first = false
+			close(entered)
+			<-unblock
+		}
+		writeJSON(w, http.StatusOK, wire.ObserveResponse{Received: 1, Accepted: 1})
+	}))
+	defer backend.Close()
+	rt, err := buildRouter(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logger, err := newLogger(io.Discard, "text", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := newRouterServer(rt, logger)
+	rs.observeSem = make(chan struct{}, 1)
+	router := httptest.NewServer(rs)
+	defer router.Close()
+
+	body, err := json.Marshal(wire.ObserveRequest{Observations: []rushprobe.Observation{
+		{Node: "shed-node", Time: 30, Length: 2, Uploaded: -1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(router.URL+"/v1/observe", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-entered // the first observe holds the only slot, stuck in the backend
+
+	resp := mustPost(t, router.URL+"/v1/observe", body)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d with the router at capacity, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Error("429 without a Retry-After header")
+	}
+	var er errorResponse
+	if err := json.Unmarshal(readBody(t, resp), &er); err != nil || er.Error == "" {
+		t.Fatalf("shed response is not the JSON error shape: %v %q", err, er.Error)
+	}
+	mresp, err := http.Get(router.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := string(readBody(t, mresp)); !strings.Contains(text, "rushprobe_observe_shed_total 1\n") {
+		t.Errorf("router metrics did not count the shed request:\n%s", text)
+	}
+
+	close(unblock)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held observe finished with %d, want 200", code)
+	}
+	resp = mustPost(t, router.URL+"/v1/observe", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d after the backend answered, want 200", resp.StatusCode)
+	}
+	readBody(t, resp)
 }

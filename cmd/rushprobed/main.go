@@ -115,7 +115,7 @@ func run(args []string, out io.Writer) error {
 		if *smoke || *snapshot != "" || *snaplog != "" {
 			return errors.New("-route is exclusive of -smoke, -snapshot, and -snaplog: the router holds no fleet state (each shard persists its own)")
 		}
-		return runRouter(*route, *addr, *reqTimeout, logger)
+		return runRouter(*route, *addr, *reqTimeout, *inflight, logger)
 	}
 	tel := rushprobe.NewTelemetry(rushprobe.TelemetryConfig{
 		TraceRing: *traceRing,
@@ -240,7 +240,7 @@ func run(args []string, out io.Writer) error {
 
 // runRouter is -route mode: serve the API over a consistent-hash
 // router of shard daemons until SIGINT/SIGTERM.
-func runRouter(shardList, addr string, reqTimeout time.Duration, logger *slog.Logger) error {
+func runRouter(shardList, addr string, reqTimeout time.Duration, inflight int, logger *slog.Logger) error {
 	rt, err := buildRouter(shardList)
 	if err != nil {
 		return err
@@ -251,6 +251,9 @@ func runRouter(shardList, addr string, reqTimeout time.Duration, logger *slog.Lo
 	rsrv := newRouterServer(rt, logger)
 	if reqTimeout > 0 {
 		rsrv.requestTimeout = reqTimeout
+	}
+	if inflight > 0 {
+		rsrv.observeSem = make(chan struct{}, inflight)
 	}
 	httpSrv := newHTTPServer(rsrv)
 	httpSrv.Addr = addr
@@ -524,27 +527,10 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	// Bounded ingest: when every slot is busy, shed immediately with a
-	// retry hint instead of queueing without bound — under a traffic
-	// spike the daemon stays responsive (schedules, health, metrics)
-	// and pushes backpressure to the reporting nodes.
-	if s.observeSem != nil {
-		select {
-		case s.observeSem <- struct{}{}:
-			defer func() { <-s.observeSem }()
-		default:
-			// Shedding under a spike can be very frequent; log the first
-			// and then a 1-in-100 sample so the event is visible without
-			// the log amplifying the overload.
-			if n := s.shed.Add(1); n == 1 || n%100 == 0 {
-				s.logger.Warn("observe shed at ingest capacity",
-					"shedTotal", n, "request", telemetry.RequestID(r.Context()))
-			}
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "ingest at capacity, retry")
-			return
-		}
+	if !admitObserve(s.observeSem, &s.shed, s.logger, w, r) {
+		return
 	}
+	defer releaseObserve(s.observeSem)
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	obs, ok := decodeObserveBody(w, r, maxObserveBody)
@@ -553,6 +539,41 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	accepted := s.fleet.ObserveContext(r.Context(), obs)
 	writeJSON(w, http.StatusOK, wire.ObserveResponse{Received: len(obs), Accepted: accepted})
+}
+
+// admitObserve takes one of sem's slots for an observe request. When
+// every slot is busy it sheds the request at once — 429 with a retry
+// hint instead of queueing without bound, so under a traffic spike the
+// server stays responsive (schedules, health, metrics) and pushes
+// backpressure to the reporting nodes — counts it in shed, and returns
+// false. A nil sem admits everything. Callers that were admitted
+// release the slot with releaseObserve.
+func admitObserve(sem chan struct{}, shed *atomic.Int64, logger *slog.Logger, w http.ResponseWriter, r *http.Request) bool {
+	if sem == nil {
+		return true
+	}
+	select {
+	case sem <- struct{}{}:
+		return true
+	default:
+	}
+	// Shedding under a spike can be very frequent; log the first and
+	// then a 1-in-100 sample so the event is visible without the log
+	// amplifying the overload.
+	if n := shed.Add(1); n == 1 || n%100 == 0 {
+		logger.Warn("observe shed at ingest capacity",
+			"shedTotal", n, "request", telemetry.RequestID(r.Context()))
+	}
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusTooManyRequests, "ingest at capacity, retry")
+	return false
+}
+
+// releaseObserve frees the slot admitObserve took.
+func releaseObserve(sem chan struct{}) {
+	if sem != nil {
+		<-sem
+	}
 }
 
 // maxObservePresize caps the buffer decodeObserveBody allocates up
@@ -887,6 +908,10 @@ type snapshotHealth struct {
 	// wall-clock costs of the most recent save and the startup restore.
 	LastSaveDurationSeconds    float64 `json:"lastSaveDurationSeconds"`
 	LastRestoreDurationSeconds float64 `json:"lastRestoreDurationSeconds"`
+	// LastRestorePhases and LastSavePhases split the snapshot log's
+	// startup restore and its most recent compaction (-snaplog only).
+	LastRestorePhases *restorePhases `json:"lastRestorePhases,omitempty"`
+	LastSavePhases    *savePhases    `json:"lastSavePhases,omitempty"`
 }
 
 // snapshotHealth snapshots the server's persistence bookkeeping.
@@ -903,6 +928,9 @@ func (s *server) snapshotHealth() snapshotHealth {
 	}
 	if !s.snapLastSave.IsZero() {
 		h.LastSaveAgeSeconds = time.Since(s.snapLastSave).Seconds()
+	}
+	if s.snaplog != nil {
+		h.LastRestorePhases, h.LastSavePhases = s.snaplog.phases()
 	}
 	return h
 }

@@ -28,7 +28,13 @@ type routerServer struct {
 	start    time.Time
 	reqSeq   atomic.Uint64
 
+	// requestTimeout bounds each request's context; observeSem bounds
+	// concurrent observe requests like the daemon's
+	// -max-inflight-observe (nil disables shedding), and shed counts
+	// the requests turned away.
 	requestTimeout time.Duration
+	observeSem     chan struct{}
+	shed           atomic.Int64
 }
 
 func newRouterServer(rt *shardroute.Router, logger *slog.Logger) *routerServer {
@@ -39,8 +45,12 @@ func newRouterServer(rt *shardroute.Router, logger *slog.Logger) *routerServer {
 		registry:       telemetry.NewRegistry(),
 		start:          time.Now(),
 		requestTimeout: defaultRequestTimeout,
+		observeSem:     make(chan struct{}, defaultMaxInflightObserve),
 	}
 	s.registry.AddFunc(rt.Collect)
+	s.registry.AddFunc(func(e *telemetry.Exposition) {
+		e.Counter("rushprobe_observe_shed_total", "Observe requests shed at the ingest concurrency bound.", float64(s.shed.Load()))
+	})
 	telemetry.RegisterRuntime(s.registry)
 	s.mux.HandleFunc("/v1/observe", s.handleObserve)
 	s.mux.HandleFunc("/v1/schedule/", s.handleSchedule)
@@ -76,6 +86,10 @@ func (s *routerServer) handleObserve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	if !admitObserve(s.observeSem, &s.shed, s.logger, w, r) {
+		return
+	}
+	defer releaseObserve(s.observeSem)
 	obs, ok := decodeObserveBody(w, r, maxObserveBody)
 	if !ok {
 		return

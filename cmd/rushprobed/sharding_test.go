@@ -392,6 +392,78 @@ func TestSnapshotEndpointWithSnaplog(t *testing.T) {
 	}
 }
 
+// TestHealthzSnapshotPhases restarts a daemon from a snapshot log and
+// checks /v1/healthz splits the restore (read+decode, admit) and the
+// startup compaction (encode+write, fsync, rename), every phase present
+// and the phases summing to no more than each total.
+func TestHealthzSnapshotPhases(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.snaplog")
+	logger, err := newLogger(io.Discard, "text", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa := newTestFleet(t)
+	populateFleet(t, fa, 60)
+	sa := newSnaplogStore(fa, path, logger)
+	if err := sa.compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sa.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The restart sequence of run(): restore, then compact.
+	fb := newTestFleet(t)
+	sb := newSnaplogStore(fb, path, logger)
+	if restored, err := sb.restore(); err != nil || !restored {
+		t.Fatalf("restore: %v %v", restored, err)
+	}
+	if err := sb.compact(); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(fb, "")
+	srv.snaplog = sb
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct {
+		Snapshot struct {
+			LastRestorePhases map[string]float64 `json:"lastRestorePhases"`
+			LastSavePhases    map[string]float64 `json:"lastSavePhases"`
+		} `json:"snapshot"`
+	}
+	if err := json.Unmarshal(readBody(t, resp), &body); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		got    map[string]float64
+		phases []string
+	}{
+		{"lastRestorePhases", body.Snapshot.LastRestorePhases, []string{"readDecodeSeconds", "admitSeconds"}},
+		{"lastSavePhases", body.Snapshot.LastSavePhases, []string{"encodeWriteSeconds", "fsyncSeconds", "renameSeconds"}},
+	} {
+		total, ok := c.got["totalSeconds"]
+		if !ok || total <= 0 {
+			t.Fatalf("%s: totalSeconds missing or not positive: %v", c.name, c.got)
+		}
+		sum := 0.0
+		for _, ph := range c.phases {
+			v, ok := c.got[ph]
+			if !ok || v < 0 {
+				t.Fatalf("%s: phase %s missing or negative: %v", c.name, ph, c.got)
+			}
+			sum += v
+		}
+		if sum > total {
+			t.Fatalf("%s: phases sum to %gs, more than the %gs total", c.name, sum, total)
+		}
+	}
+}
+
 func TestRouterModeEndToEnd(t *testing.T) {
 	logger, err := newLogger(io.Discard, "text", "info")
 	if err != nil {

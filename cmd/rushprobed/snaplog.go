@@ -35,6 +35,31 @@ type snaplogStore struct {
 	deltas      int64
 	deltaNodes  int64
 	compactions int64
+	// lastRestore and lastSave split the startup restore and the most
+	// recent compaction into phases for /v1/healthz (nil until each
+	// has happened once).
+	lastRestore *restorePhases
+	lastSave    *savePhases
+}
+
+// restorePhases splits a snapshot-log restore: reading, CRC-checking
+// and decoding the frames, then validating the decoded nodes and
+// swapping them into the fleet. Total is the whole restore as the store
+// timed it, so the phases sum to at most Total.
+type restorePhases struct {
+	ReadDecodeSeconds float64 `json:"readDecodeSeconds"`
+	AdmitSeconds      float64 `json:"admitSeconds"`
+	TotalSeconds      float64 `json:"totalSeconds"`
+}
+
+// savePhases splits a compaction: encoding the full snapshot into the
+// temp file, its fsync, and the rename over the log. Total is the whole
+// compaction, handle reopen included.
+type savePhases struct {
+	EncodeWriteSeconds float64 `json:"encodeWriteSeconds"`
+	FsyncSeconds       float64 `json:"fsyncSeconds"`
+	RenameSeconds      float64 `json:"renameSeconds"`
+	TotalSeconds       float64 `json:"totalSeconds"`
 }
 
 func newSnaplogStore(f *rushprobe.Fleet, path string, logger *slog.Logger) *snaplogStore {
@@ -64,9 +89,18 @@ func (st *snaplogStore) restore() (bool, error) {
 			"path", st.path, "tornOffset", info.TornOffset,
 			"frames", info.Frames, "nodes", info.Nodes)
 	}
+	total := time.Since(t0)
+	st.mu.Lock()
+	st.lastRestore = &restorePhases{
+		ReadDecodeSeconds: info.Decode.Seconds(),
+		AdmitSeconds:      info.Admit.Seconds(),
+		TotalSeconds:      total.Seconds(),
+	}
+	st.mu.Unlock()
 	st.logger.Info("snapshot log restored",
 		"path", st.path, "nodes", info.Nodes, "frames", info.Frames,
-		"generations", info.Generations, "duration", time.Since(t0))
+		"generations", info.Generations, "duration", total,
+		"decode", info.Decode, "admit", info.Admit)
 	return true, nil
 }
 
@@ -143,20 +177,26 @@ func (st *snaplogStore) compact() error {
 }
 
 func (st *snaplogStore) compactLocked() error {
+	t0 := time.Now()
 	dir := filepath.Dir(st.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(st.path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
+	var phases savePhases
+	t := time.Now()
 	if err := st.fleet.SnapshotBinary(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("snapshot log %s: compact: %w", st.path, err)
 	}
+	phases.EncodeWriteSeconds = time.Since(t).Seconds()
+	t = time.Now()
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
 	}
+	phases.FsyncSeconds = time.Since(t).Seconds()
 	size, err := tmp.Seek(0, io.SeekEnd)
 	if err != nil {
 		tmp.Close()
@@ -165,9 +205,11 @@ func (st *snaplogStore) compactLocked() error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
+	t = time.Now()
 	if err := os.Rename(tmp.Name(), st.path); err != nil {
 		return err
 	}
+	phases.RenameSeconds = time.Since(t).Seconds()
 	if st.file != nil {
 		//rushlint:allow durability — closing the pre-compaction inode: the rename already published the new log, so this close failing loses nothing
 		st.file.Close() // old inode, fully superseded by the rename
@@ -178,7 +220,16 @@ func (st *snaplogStore) compactLocked() error {
 	}
 	st.base = size
 	st.compactions++
+	phases.TotalSeconds = time.Since(t0).Seconds()
+	st.lastSave = &phases
 	return nil
+}
+
+// phases returns the last restore's and compaction's phase splits.
+func (st *snaplogStore) phases() (*restorePhases, *savePhases) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.lastRestore, st.lastSave
 }
 
 // stats snapshots the store's counters for /metrics.

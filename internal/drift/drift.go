@@ -15,12 +15,14 @@
 // the stream and test the standardized deviation — so one default
 // tuning works across streams with very different scales (contact
 // counts vs. share fractions). Both are O(1) per sample and serialize
-// to a flat float map, which keeps them cheap enough to run three per
-// node at fleet scale and lets their state ride along in fleet
-// snapshots.
+// to a fixed table of named float registers (Registers), which keeps
+// them cheap enough to run three per node at fleet scale and lets their
+// state ride along in fleet snapshots without a map per detector.
 package drift
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -104,35 +106,233 @@ type Detector interface {
 	Observe(x float64) bool
 	// Reset discards all state, returning the detector to warmup.
 	Reset()
-	// State exports the detector for persistence.
-	State() State
-	// Restore replaces the detector's state with an exported one. It
-	// fails when the state's kind does not match.
-	Restore(State) error
+	// Registers exports the detector's state for persistence.
+	Registers() Registers
+	// RestoreRegisters replaces the detector's state with exported
+	// registers. It fails when their kind does not match the
+	// detector's, or when the baseline registers are invalid.
+	RestoreRegisters(*Registers) error
 }
 
-// State is a detector's serializable state: its kind plus a flat map
-// of float-valued registers. encoding/json emits map keys sorted and
-// float64s round-trip exactly, so snapshot bytes are deterministic.
+// State is the JSON snapshot's form of Registers: the kind plus a flat
+// map of float-valued registers. encoding/json emits map keys sorted
+// and float64s round-trip exactly, so snapshot bytes are deterministic.
 type State struct {
 	Kind string             `json:"kind"`
 	V    map[string]float64 `json:"v,omitempty"`
 }
 
+// Registers is a detector's state without maps: its kind plus one value
+// per register the kind defines, indexed by the kind's key table. The
+// tables are sorted, so table order is also the order registers take
+// in a binary snapshot frame.
+type Registers struct {
+	Kind string
+	V    [maxRegisters]float64
+}
+
+// maxRegisters is the longest key table.
+const maxRegisters = 8
+
+// Register key tables, sorted bytewise, and each kind's slots in them.
+var (
+	cusumKeys       = []string{"excl", "mean", "n", "neg", "pos", "var"}
+	pageHinkleyKeys = []string{"down", "downMax", "excl", "mean", "n", "up", "upMin", "var"}
+)
+
+const (
+	cusumExcl = iota
+	cusumMean
+	cusumN
+	cusumNeg
+	cusumPos
+	cusumVar
+)
+
+const (
+	phDown = iota
+	phDownMax
+	phExcl
+	phMean
+	phN
+	phUp
+	phUpMin
+	phVar
+)
+
+// registerKeys returns a kind's key table; nil for an unknown kind.
+func registerKeys(kind string) []string {
+	switch kind {
+	case KindCUSUM:
+		return cusumKeys
+	case KindPageHinkley:
+		return pageHinkleyKeys
+	}
+	return nil
+}
+
+// Registers picks the kind's registers out of the map form. Absent
+// keys read as zero and keys the kind does not define are ignored.
+func (s State) Registers() Registers {
+	r := Registers{Kind: s.Kind}
+	for i, k := range registerKeys(s.Kind) {
+		r.V[i] = s.V[k]
+	}
+	return r
+}
+
+// State returns the map form of the registers.
+func (r *Registers) State() State {
+	keys := registerKeys(r.Kind)
+	v := make(map[string]float64, len(keys))
+	for i, k := range keys {
+		v[k] = r.V[i]
+	}
+	return State{Kind: r.Kind, V: v}
+}
+
+// AppendBinary appends the registers in the binary snapshot's layout:
+//
+//	u8  kind length, kind bytes
+//	u16 register count, per register in key-table (sorted) order:
+//	  u8 key length, key bytes, f64 value
+//
+// Registers exported by a detector always have a known kind, so the
+// length fields cannot overflow.
+func (r *Registers) AppendBinary(dst []byte) []byte {
+	keys := registerKeys(r.Kind)
+	dst = append(dst, byte(len(r.Kind)))
+	dst = append(dst, r.Kind...)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(keys)))
+	for i, k := range keys {
+		dst = append(dst, byte(len(k)))
+		dst = append(dst, k...)
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.V[i]))
+	}
+	return dst
+}
+
+// ShortError reports a register block that ends inside a field: the
+// field starts Offset bytes into the block and is Need bytes long.
+type ShortError struct {
+	Offset, Need int
+}
+
+func (e *ShortError) Error() string {
+	return fmt.Sprintf("drift: register block truncated at byte %d (need %d more)", e.Offset, e.Need)
+}
+
+// DecodeRegisters parses one AppendBinary block from the front of p
+// into r and returns its length. Keys must be strictly ascending; keys
+// the block's kind does not define are skipped and registers the block
+// omits read as zero, so the block decodes exactly as its map form
+// would restore. A known kind and known keys decode without
+// allocating.
+func DecodeRegisters(p []byte, r *Registers) (int, error) {
+	if len(p) < 1 {
+		return 0, &ShortError{Offset: 0, Need: 1}
+	}
+	off := 1
+	if n := int(p[0]); len(p)-off < n {
+		return off, &ShortError{Offset: off, Need: n}
+	}
+	*r = Registers{Kind: kindName(p[off : off+int(p[0])])}
+	off += int(p[0])
+	if len(p)-off < 2 {
+		return off, &ShortError{Offset: off, Need: 2}
+	}
+	count := int(binary.LittleEndian.Uint16(p[off:]))
+	off += 2
+	keys := registerKeys(r.Kind)
+	// Keys and table are both sorted, so one merge pass places every
+	// key. prevAt is the table slot of the previous key when it was a
+	// known one: a key matching the next slot is then ascending by the
+	// table's own order, the common case that needs no comparison.
+	next, prevAt := 0, -1
+	var prev []byte
+	for i := 0; i < count; i++ {
+		if len(p)-off < 1 {
+			return off, &ShortError{Offset: off, Need: 1}
+		}
+		n := int(p[off])
+		off++
+		if len(p)-off < n {
+			return off, &ShortError{Offset: off, Need: n}
+		}
+		key := p[off : off+n]
+		off += n
+		if len(p)-off < 8 {
+			return off, &ShortError{Offset: off, Need: 8}
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(p[off:]))
+		off += 8
+		if next < len(keys) && keys[next] == string(key) && (i == 0 || prevAt == next-1) {
+			r.V[next] = v
+			prev, prevAt = key, next
+			next++
+			continue
+		}
+		if i > 0 && bytes.Compare(key, prev) <= 0 {
+			return off, fmt.Errorf("detector registers out of order (%q after %q)", key, prev)
+		}
+		prev, prevAt = key, -1
+		for next < len(keys) && keys[next] < string(key) {
+			next++
+		}
+		if next < len(keys) && keys[next] == string(key) {
+			r.V[next] = v
+			prevAt = next
+			next++
+		}
+	}
+	return off, nil
+}
+
+// kindName returns the kind constant matching b, allocating only for a
+// kind this package does not define.
+func kindName(b []byte) string {
+	switch string(b) {
+	case KindCUSUM:
+		return KindCUSUM
+	case KindPageHinkley:
+		return KindPageHinkley
+	}
+	return string(b)
+}
+
 // New returns a detector of the given kind ("cusum" or "page-hinkley";
 // "ph" is accepted as an alias) with the given tuning.
 func New(kind string, cfg Config) (Detector, error) {
+	var d [1]Detector
+	err := NewSet(d[:], kind, cfg)
+	return d[0], err
+}
+
+// NewSet fills dst with independent detectors of one kind and tuning
+// that share a single allocation — the shape of a fleet node's
+// per-stream detectors, built once per node.
+func NewSet(dst []Detector, kind string, cfg Config) error {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch Canonical(kind) {
 	case KindCUSUM:
-		return &cusum{cfg: cfg}, nil
+		ds := make([]cusum, len(dst))
+		for i := range ds {
+			ds[i].cfg = cfg
+			dst[i] = &ds[i]
+		}
+		return nil
 	case KindPageHinkley:
-		return &pageHinkley{cfg: cfg}, nil
+		ds := make([]pageHinkley, len(dst))
+		for i := range ds {
+			ds[i].cfg = cfg
+			dst[i] = &ds[i]
+		}
+		return nil
 	}
-	return nil, fmt.Errorf("drift: unknown detector %q (have %v)", kind, Kinds())
+	return fmt.Errorf("drift: unknown detector %q (have %v)", kind, Kinds())
 }
 
 // Canonical maps a detector name or alias to its canonical kind; it
@@ -295,24 +495,24 @@ func (c *cusum) Reset() {
 	c.pos, c.neg = 0, 0
 }
 
-func (c *cusum) State() State {
-	return State{Kind: KindCUSUM, V: map[string]float64{
-		"n": c.base.n, "mean": c.base.mean, "var": c.base.vr, "excl": c.base.excl,
-		"pos": c.pos, "neg": c.neg,
-	}}
+func (c *cusum) Registers() Registers {
+	r := Registers{Kind: KindCUSUM}
+	r.V[cusumN], r.V[cusumMean], r.V[cusumVar], r.V[cusumExcl] = c.base.n, c.base.mean, c.base.vr, c.base.excl
+	r.V[cusumPos], r.V[cusumNeg] = c.pos, c.neg
+	return r
 }
 
-func (c *cusum) Restore(s State) error {
-	if s.Kind != KindCUSUM {
-		return fmt.Errorf("drift: cannot restore %q state into a cusum detector", s.Kind)
+func (c *cusum) RestoreRegisters(r *Registers) error {
+	if r.Kind != KindCUSUM {
+		return fmt.Errorf("drift: cannot restore %q state into a cusum detector", r.Kind)
 	}
-	b, err := restoreBaseline(s.V)
+	b, err := restoreBaseline(r.V[cusumN], r.V[cusumMean], r.V[cusumVar], r.V[cusumExcl])
 	if err != nil {
 		return err
 	}
 	c.base = b
-	c.pos = math.Max(0, s.V["pos"])
-	c.neg = math.Max(0, s.V["neg"])
+	c.pos = math.Max(0, r.V[cusumPos])
+	c.neg = math.Max(0, r.V[cusumNeg])
 	return nil
 }
 
@@ -361,31 +561,31 @@ func (p *pageHinkley) Reset() {
 	p.up, p.upMin, p.down, p.downMax = 0, 0, 0, 0
 }
 
-func (p *pageHinkley) State() State {
-	return State{Kind: KindPageHinkley, V: map[string]float64{
-		"n": p.base.n, "mean": p.base.mean, "var": p.base.vr, "excl": p.base.excl,
-		"up": p.up, "upMin": p.upMin, "down": p.down, "downMax": p.downMax,
-	}}
+func (p *pageHinkley) Registers() Registers {
+	r := Registers{Kind: KindPageHinkley}
+	r.V[phN], r.V[phMean], r.V[phVar], r.V[phExcl] = p.base.n, p.base.mean, p.base.vr, p.base.excl
+	r.V[phUp], r.V[phUpMin], r.V[phDown], r.V[phDownMax] = p.up, p.upMin, p.down, p.downMax
+	return r
 }
 
-func (p *pageHinkley) Restore(s State) error {
-	if s.Kind != KindPageHinkley {
-		return fmt.Errorf("drift: cannot restore %q state into a page-hinkley detector", s.Kind)
+func (p *pageHinkley) RestoreRegisters(r *Registers) error {
+	if r.Kind != KindPageHinkley {
+		return fmt.Errorf("drift: cannot restore %q state into a page-hinkley detector", r.Kind)
 	}
-	b, err := restoreBaseline(s.V)
+	b, err := restoreBaseline(r.V[phN], r.V[phMean], r.V[phVar], r.V[phExcl])
 	if err != nil {
 		return err
 	}
 	p.base = b
-	p.up, p.upMin = s.V["up"], s.V["upMin"]
-	p.down, p.downMax = s.V["down"], s.V["downMax"]
+	p.up, p.upMin = r.V[phUp], r.V[phUpMin]
+	p.down, p.downMax = r.V[phDown], r.V[phDownMax]
 	return nil
 }
 
-// restoreBaseline validates and extracts the shared baseline registers
-// from a state map (absent keys read as zero — a fresh baseline).
-func restoreBaseline(v map[string]float64) (baseline, error) {
-	b := baseline{n: v["n"], mean: v["mean"], vr: v["var"], excl: v["excl"]}
+// restoreBaseline validates the shared baseline registers (absent
+// registers arrive as zero — a fresh baseline).
+func restoreBaseline(n, mean, vr, excl float64) (baseline, error) {
+	b := baseline{n: n, mean: mean, vr: vr, excl: excl}
 	if b.n < 0 || b.n != math.Trunc(b.n) || math.IsInf(b.n, 0) {
 		return baseline{}, fmt.Errorf("drift: state has invalid sample count %g", b.n)
 	}

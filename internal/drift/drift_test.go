@@ -2,6 +2,7 @@ package drift
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -166,15 +167,15 @@ func TestNonFiniteSamplesIgnored(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			d.Observe(7)
 		}
-		before := d.State()
+		before := d.Registers()
 		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			if d.Observe(x) {
 				t.Fatalf("%s: fired on a non-finite sample", kind)
 			}
 		}
-		after := d.State()
-		b, _ := json.Marshal(before)
-		a, _ := json.Marshal(after)
+		after := d.Registers()
+		b, _ := json.Marshal(before.State())
+		a, _ := json.Marshal(after.State())
 		if string(a) != string(b) {
 			t.Fatalf("%s: non-finite sample changed state: %s -> %s", kind, b, a)
 		}
@@ -198,7 +199,8 @@ func TestRestoreRoundtripPreservesFiringSample(t *testing.T) {
 		for _, x := range stream[:18] {
 			half.Observe(x)
 		}
-		data, err := json.Marshal(half.State())
+		regs := half.Registers()
+		data, err := json.Marshal(regs.State())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +209,7 @@ func TestRestoreRoundtripPreservesFiringSample(t *testing.T) {
 			t.Fatal(err)
 		}
 		restored := newDetector(t, kind)
-		if err := restored.Restore(st); err != nil {
+		if err := restore(restored, st); err != nil {
 			t.Fatal(err)
 		}
 		got := firstFire(restored, stream[18:])
@@ -217,19 +219,55 @@ func TestRestoreRoundtripPreservesFiringSample(t *testing.T) {
 	}
 }
 
+// restore restores the map form, as the JSON snapshot does.
+func restore(d Detector, s State) error {
+	r := s.Registers()
+	return d.RestoreRegisters(&r)
+}
+
 func TestRestoreRejectsMismatchedKindAndBadState(t *testing.T) {
 	c := newDetector(t, KindCUSUM)
-	if err := c.Restore(State{Kind: KindPageHinkley}); err == nil {
+	if err := restore(c, State{Kind: KindPageHinkley}); err == nil {
 		t.Fatal("expected a kind-mismatch error")
 	}
-	if err := c.Restore(State{Kind: KindCUSUM, V: map[string]float64{"n": -3}}); err == nil {
+	if err := restore(c, State{Kind: KindCUSUM, V: map[string]float64{"n": -3}}); err == nil {
 		t.Fatal("expected an error for a negative sample count")
 	}
-	if err := c.Restore(State{Kind: KindCUSUM, V: map[string]float64{"n": 2, "var": -1}}); err == nil {
+	if err := restore(c, State{Kind: KindCUSUM, V: map[string]float64{"n": 2, "var": -1}}); err == nil {
 		t.Fatal("expected an error for a negative variance")
 	}
 	p := newDetector(t, KindPageHinkley)
-	if err := p.Restore(State{Kind: KindCUSUM}); err == nil {
+	if err := restore(p, State{Kind: KindCUSUM}); err == nil {
 		t.Fatal("expected a kind-mismatch error")
+	}
+}
+
+// The binary register block round-trips every kind bit for bit, and
+// decoding a known kind allocates nothing.
+func TestRegistersBinaryRoundTrip(t *testing.T) {
+	for _, kind := range Kinds() {
+		d := newDetector(t, kind)
+		for _, x := range noisy(rng.Derive(3, "regs-"+kind), 40, 6, 24) {
+			d.Observe(x)
+		}
+		want := d.Registers()
+		block := want.AppendBinary(nil)
+		var got Registers
+		n, err := DecodeRegisters(append(block, 0xff), &got)
+		if err != nil || n != len(block) {
+			t.Fatalf("%s: decoded %d of %d bytes: %v", kind, n, len(block), err)
+		}
+		if got != want {
+			t.Fatalf("%s: round trip changed the registers:\n got %+v\nwant %+v", kind, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { DecodeRegisters(block, &got) }); allocs != 0 {
+			t.Fatalf("%s: decoding allocates %.0f times", kind, allocs)
+		}
+		for cut := 0; cut < len(block); cut++ {
+			var short *ShortError
+			if _, err := DecodeRegisters(block[:cut], &got); !errors.As(err, &short) {
+				t.Fatalf("%s: block cut at %d: err = %v, want a ShortError", kind, cut, err)
+			}
+		}
 	}
 }

@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"rushprobe/internal/drift"
@@ -73,6 +74,10 @@ type RecoveryInfo struct {
 	// the tear (everything before it was replayed).
 	Truncated  bool
 	TornOffset int64
+	// Decode is the time spent reading, CRC-checking and decoding the
+	// log's frames; Admit the time spent validating the decoded nodes
+	// and swapping them into the shards.
+	Decode, Admit time.Duration
 }
 
 // appendMetaFrame encodes the fleet's meta payload.
@@ -105,92 +110,76 @@ func (f *Fleet) decodeMetaFrame(p []byte) error {
 	return nil
 }
 
-// appendNodeFrame encodes one node's state. Callers hold the shard
-// lock.
-func appendNodeFrame(dst []byte, n *NodeState) ([]byte, error) {
-	if len(n.ID) > math.MaxUint16 {
-		return nil, fmt.Errorf("node ID is %d bytes, the binary snapshot caps IDs at %d", len(n.ID), math.MaxUint16)
+// appendProfileFrame appends p's node frame payload to dst, written
+// straight from the live profile: no NodeState, no drift-register maps,
+// no learner state copy, and no allocation once dst has grown to a
+// frame's size. Callers hold p's shard lock.
+func appendProfileFrame(dst []byte, p *profile) ([]byte, error) {
+	if len(p.id) > math.MaxUint16 {
+		return nil, fmt.Errorf("node ID is %d bytes, the binary snapshot caps IDs at %d", len(p.id), math.MaxUint16)
 	}
-	if len(n.Strategy) > math.MaxUint8 {
-		return nil, fmt.Errorf("strategy name is %d bytes, cap is %d", len(n.Strategy), math.MaxUint8)
+	if len(p.strategy) > math.MaxUint8 {
+		return nil, fmt.Errorf("strategy name is %d bytes, cap is %d", len(p.strategy), math.MaxUint8)
 	}
-	if n.Epoch < 0 || n.Observed < 0 || n.Stale < 0 {
-		return nil, fmt.Errorf("negative counters (epoch %d, observed %d, stale %d)", n.Epoch, n.Observed, n.Stale)
+	if p.epoch < 0 || p.observed < 0 || p.stale < 0 {
+		return nil, fmt.Errorf("negative counters (epoch %d, observed %d, stale %d)", p.epoch, p.observed, p.stale)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(n.ID)))
-	dst = append(dst, n.ID...)
-	dst = append(dst, byte(len(n.Strategy)))
-	dst = append(dst, n.Strategy...)
-	dst = binary.AppendUvarint(dst, uint64(n.Epoch))
-	dst = binary.AppendUvarint(dst, uint64(n.Observed))
-	dst = binary.AppendUvarint(dst, uint64(n.Stale))
-	var err error
-	if dst, err = appendDriftBlob(dst, n.Drift); err != nil {
+	dst = binary.AppendUvarint(dst, uint64(len(p.id)))
+	dst = append(dst, p.id...)
+	dst = append(dst, byte(len(p.strategy)))
+	dst = append(dst, p.strategy...)
+	dst = binary.AppendUvarint(dst, uint64(p.epoch))
+	dst = binary.AppendUvarint(dst, uint64(p.observed))
+	dst = binary.AppendUvarint(dst, uint64(p.stale))
+	dst, err := appendDriftBlob(dst, p)
+	if err != nil {
 		return nil, err
 	}
-	rec := learn.ProfileRecord{Length: n.Length, Upload: n.Upload, Learner: n.Learner}
 	lenAt := len(dst)
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // patched below
-	if dst, err = rec.AppendBinary(dst); err != nil {
+	if dst, err = learn.AppendRecord(dst, &p.length, &p.upload, p.learner); err != nil {
 		return nil, err
 	}
 	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
 	return dst, nil
 }
 
-func appendDriftBlob(dst []byte, ds *NodeDriftState) ([]byte, error) {
-	if ds == nil {
+// appendDriftBlob writes a profile's drift state: nothing but the 0
+// flag when there is nothing to persist (detection disabled and no
+// recorded events, which keeps pre-drift snapshots byte-identical),
+// else the counters and, when the fleet runs a detector, the three
+// streams' registers.
+func appendDriftBlob(dst []byte, p *profile) ([]byte, error) {
+	if p.mon == nil && p.driftEvents == 0 {
 		return append(dst, 0), nil
 	}
-	if ds.Events < 0 {
-		return nil, fmt.Errorf("negative drift event count %d", ds.Events)
+	if p.driftEvents < 0 {
+		return nil, fmt.Errorf("negative drift event count %d", p.driftEvents)
 	}
-	if ds.Contacts < 0 || ds.Contacts > math.MaxUint32 {
-		return nil, fmt.Errorf("drift contact accumulator %d out of [0, %d]", ds.Contacts, uint64(math.MaxUint32))
+	var first, last, contacts int
+	var lenSum float64
+	if p.driftEvents > 0 {
+		first, last = p.firstDrift, p.lastDrift
+	}
+	if p.mon != nil {
+		contacts, lenSum = p.epochContacts, p.epochLenSum
+	}
+	if contacts < 0 || contacts > math.MaxUint32 {
+		return nil, fmt.Errorf("drift contact accumulator %d out of [0, %d]", contacts, uint64(math.MaxUint32))
 	}
 	dst = append(dst, 1)
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(ds.Events))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ds.First)))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(ds.Last)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ds.Contacts))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ds.LenSum))
-	streams := []*drift.State{ds.Rate, ds.Length, ds.Share}
-	present := 0
-	for _, s := range streams {
-		if s != nil {
-			present++
-		}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(p.driftEvents))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(first)))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(last)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(contacts))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(lenSum))
+	if p.mon == nil {
+		return append(dst, 0), nil
 	}
-	if present != 0 && present != 3 {
-		return nil, fmt.Errorf("drift state has %d of 3 stream detectors", present)
-	}
-	dst = append(dst, byte(present))
-	for _, s := range streams {
-		if s == nil {
-			break
-		}
-		if len(s.Kind) > math.MaxUint8 {
-			return nil, fmt.Errorf("detector kind %q longer than %d bytes", s.Kind, math.MaxUint8)
-		}
-		if len(s.V) > math.MaxUint16 {
-			return nil, fmt.Errorf("detector has %d registers, cap is %d", len(s.V), math.MaxUint16)
-		}
-		dst = append(dst, byte(len(s.Kind)))
-		dst = append(dst, s.Kind...)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s.V)))
-		keys := make([]string, 0, len(s.V))
-		for k := range s.V {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if len(k) > math.MaxUint8 {
-				return nil, fmt.Errorf("detector register key %q longer than %d bytes", k, math.MaxUint8)
-			}
-			dst = append(dst, byte(len(k)))
-			dst = append(dst, k...)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.V[k]))
-		}
+	dst = append(dst, 3)
+	for _, d := range [3]drift.Detector{p.mon.rate, p.mon.length, p.mon.share} {
+		r := d.Registers()
+		dst = r.AppendBinary(dst)
 	}
 	return dst, nil
 }
@@ -214,15 +203,6 @@ func (d *nodeDecoder) u8() (byte, error) {
 	}
 	v := d.p[d.off]
 	d.off++
-	return v, nil
-}
-
-func (d *nodeDecoder) u16() (uint16, error) {
-	if err := d.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint16(d.p[d.off:])
-	d.off += 2
 	return v, nil
 }
 
@@ -287,158 +267,182 @@ func (d *nodeDecoder) varintCounter(name string) (int64, error) {
 	return int64(v), nil
 }
 
-// decodeNodeFrame parses one node frame payload into a NodeState.
-func decodeNodeFrame(p []byte) (NodeState, error) {
-	var n NodeState
+// decodeNodeFrame parses one node frame payload into n. Frame-level
+// validation happens here; checks against the fleet's configuration
+// are the admission gate's (buildProfile).
+func decodeNodeFrame(p []byte, n *nodeRecord) error {
 	d := &nodeDecoder{p: p}
 	idLen, err := d.uvarint("id length")
 	if err != nil {
-		return n, err
+		return err
 	}
 	if idLen > math.MaxUint16 {
-		return n, fmt.Errorf("node ID length %d exceeds the %d cap", idLen, math.MaxUint16)
+		return fmt.Errorf("node ID length %d exceeds the %d cap", idLen, math.MaxUint16)
 	}
 	id, err := d.bytes(int(idLen))
 	if err != nil {
-		return n, err
+		return err
 	}
-	n.ID = string(id)
+	n.id = string(id)
 	stratLen, err := d.u8()
 	if err != nil {
-		return n, err
+		return err
 	}
 	strat, err := d.bytes(int(stratLen))
 	if err != nil {
-		return n, err
+		return err
 	}
-	n.Strategy = string(strat)
+	n.strategy = string(strat)
 	epoch, err := d.varintCounter("epoch")
 	if err != nil {
-		return n, err
+		return err
 	}
 	if epoch > math.MaxInt32 {
-		return n, fmt.Errorf("epoch %d exceeds the int32 range the clock supports", epoch)
+		return fmt.Errorf("epoch %d exceeds the int32 range the clock supports", epoch)
 	}
-	n.Epoch = int(epoch)
-	if n.Observed, err = d.varintCounter("observed count"); err != nil {
-		return n, err
+	n.epoch = int(epoch)
+	if n.observed, err = d.varintCounter("observed count"); err != nil {
+		return err
 	}
-	if n.Stale, err = d.varintCounter("stale count"); err != nil {
-		return n, err
+	if n.stale, err = d.varintCounter("stale count"); err != nil {
+		return err
 	}
-	if n.Drift, err = decodeDriftBlob(d); err != nil {
-		return n, err
+	if err := decodeDriftBlob(d, &n.drift); err != nil {
+		return err
 	}
 	recLen, err := d.u32()
 	if err != nil {
-		return n, err
+		return err
 	}
 	rec, err := d.bytes(int(recLen))
 	if err != nil {
-		return n, err
+		return err
 	}
-	var pr learn.ProfileRecord
-	if err := pr.UnmarshalBinary(rec); err != nil {
-		return n, err
+	if n.length, n.upload, n.learner, err = learn.RestoreRecord(rec); err != nil {
+		return err
 	}
 	if d.off != len(d.p) {
-		return n, fmt.Errorf("node frame has %d trailing bytes", len(d.p)-d.off)
+		return fmt.Errorf("node frame has %d trailing bytes", len(d.p)-d.off)
 	}
-	n.Length = pr.Length
-	n.Upload = pr.Upload
-	n.Learner = pr.Learner
-	return n, nil
+	return nil
 }
 
-func decodeDriftBlob(d *nodeDecoder) (*NodeDriftState, error) {
+func decodeDriftBlob(d *nodeDecoder, ds *driftRecord) error {
 	flag, err := d.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch flag {
 	case 0:
-		return nil, nil
+		return nil
 	case 1:
 	default:
-		return nil, fmt.Errorf("drift flag %#02x is not 0 or 1", flag)
+		return fmt.Errorf("drift flag %#02x is not 0 or 1", flag)
 	}
-	ds := &NodeDriftState{}
-	if ds.Events, err = d.counter("drift event count"); err != nil {
-		return nil, err
+	ds.present = true
+	if ds.events, err = d.counter("drift event count"); err != nil {
+		return err
 	}
 	first, err := d.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	last, err := d.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ds.First, ds.Last = int(int64(first)), int(int64(last))
+	ds.first, ds.last = int(int64(first)), int(int64(last))
 	contacts, err := d.u32()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ds.Contacts = int(contacts)
+	ds.contacts = int(contacts)
 	lenSum, err := d.u64()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ds.LenSum = math.Float64frombits(lenSum)
+	ds.lenSum = math.Float64frombits(lenSum)
 	streams, err := d.u8()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	switch streams {
 	case 0:
-		return ds, nil
+		return nil
 	case 3:
 	default:
-		return nil, fmt.Errorf("drift stream count %d is not 0 or 3", streams)
+		return fmt.Errorf("drift stream count %d is not 0 or 3", streams)
 	}
-	out := make([]*drift.State, 3)
-	for i := range out {
-		kindLen, err := d.u8()
+	for i := range ds.regs {
+		n, err := drift.DecodeRegisters(d.p[d.off:], &ds.regs[i])
 		if err != nil {
-			return nil, err
-		}
-		kind, err := d.bytes(int(kindLen))
-		if err != nil {
-			return nil, err
-		}
-		nreg, err := d.u16()
-		if err != nil {
-			return nil, err
-		}
-		s := &drift.State{Kind: string(kind)}
-		if nreg > 0 {
-			s.V = make(map[string]float64, nreg)
-		}
-		prevKey := ""
-		for r := 0; r < int(nreg); r++ {
-			keyLen, err := d.u8()
-			if err != nil {
-				return nil, err
+			if short, ok := err.(*drift.ShortError); ok {
+				return fmt.Errorf("node frame truncated at byte %d (need %d more)", d.off+short.Offset, short.Need)
 			}
-			key, err := d.bytes(int(keyLen))
-			if err != nil {
-				return nil, err
-			}
-			val, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			k := string(key)
-			if r > 0 && k <= prevKey {
-				return nil, fmt.Errorf("detector registers out of order (%q after %q)", k, prevKey)
-			}
-			prevKey = k
-			s.V[k] = math.Float64frombits(val)
+			return err
 		}
-		out[i] = s
+		d.off += n
+		ds.streams[i] = true
 	}
-	ds.Rate, ds.Length, ds.Share = out[0], out[1], out[2]
-	return ds, nil
+	return nil
+}
+
+// nodeRecords decodes a log's node frames one at a time and passes each
+// straight through the admission gate, keeping only the outcome — the
+// profile, or the gate's error — with last-record-wins semantics: a
+// repeated ID overwrites its outcome in place, so the kept outcomes stay
+// in first-insertion order. A gate error counts only if no later record
+// supersedes it, and only once every frame has decoded, exactly as if
+// the whole log were decoded before any node was built.
+type nodeRecords struct {
+	rec   nodeRecord // the frame being decoded
+	kept  []gateOutcome
+	index map[string]int
+}
+
+type gateOutcome struct {
+	p   *profile
+	err error
+}
+
+// decode parses one node frame payload into the current record.
+func (rs *nodeRecords) decode(payload []byte) (*nodeRecord, error) {
+	rs.rec = nodeRecord{}
+	return &rs.rec, decodeNodeFrame(payload, &rs.rec)
+}
+
+// keep builds the current record and keeps the outcome.
+func (rs *nodeRecords) keep(f *Fleet) {
+	p, err := f.buildProfile(&rs.rec)
+	out := gateOutcome{p, err}
+	if i, seen := rs.index[rs.rec.id]; seen {
+		rs.kept[i] = out
+		return
+	}
+	if rs.index == nil {
+		rs.index = make(map[string]int)
+	}
+	rs.index[rs.rec.id] = len(rs.kept)
+	rs.kept = append(rs.kept, out)
+}
+
+// reset drops every kept node: a new generation supersedes them.
+func (rs *nodeRecords) reset() {
+	rs.kept = rs.kept[:0]
+	clear(rs.index)
+}
+
+// profiles returns the kept profiles in first-insertion order, or the
+// first kept gate error in that order.
+func (rs *nodeRecords) profiles() ([]*profile, error) {
+	ps := make([]*profile, len(rs.kept))
+	for i, out := range rs.kept {
+		if out.err != nil {
+			return nil, out.err
+		}
+		ps[i] = out.p
+	}
+	return ps, nil
 }
 
 // WriteBinarySnapshot streams a full binary snapshot of the fleet —
@@ -477,34 +481,9 @@ func (f *Fleet) writeBinarySnapshot(w io.Writer) (int, error) {
 	if err := sw.WriteFrame(snaplog.FrameMeta, f.appendMetaFrame(nil)); err != nil {
 		return 0, fmt.Errorf("fleet: write snapshot meta: %w", err)
 	}
-	var scratch []byte
-	var ns NodeState
-	var ids []string
-	total := 0
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		ids = ids[:0]
-		for id := range sh.nodes {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			p := sh.nodes[id]
-			var err error
-			if scratch, err = f.appendProfileFrame(scratch[:0], &ns, p); err != nil {
-				sh.mu.Unlock()
-				return total, fmt.Errorf("fleet: node %s: %w", id, err)
-			}
-			//rushlint:allow locksafe — streaming snapshot: one shard locked at a time while its frames stream out, trading lock hold time for bounded memory (buffering a shard's frames would reintroduce the 1M-node snapshot spike)
-			if err := sw.WriteFrame(snaplog.FrameNode, scratch); err != nil {
-				sh.mu.Unlock()
-				return total, fmt.Errorf("fleet: write node %s: %w", id, err)
-			}
-			p.dirty = false
-			total++
-		}
-		sh.mu.Unlock()
+	total, err := f.streamFrames(sw, false)
+	if err != nil {
+		return total, err
 	}
 	if err := sw.Flush(); err != nil {
 		return total, fmt.Errorf("fleet: flush snapshot: %w", err)
@@ -512,21 +491,55 @@ func (f *Fleet) writeBinarySnapshot(w io.Writer) (int, error) {
 	return total, nil
 }
 
-// appendProfileFrame serializes one live profile into dst, reusing
-// ns's backing arrays across calls (the learner state is the only
-// slice-carrying field). Callers hold the shard lock.
-func (f *Fleet) appendProfileFrame(dst []byte, ns *NodeState, p *profile) ([]byte, error) {
-	ns.ID = p.id
-	ns.Strategy = p.strategy
-	ns.Epoch = p.epoch
-	ns.Observed = p.observed
-	ns.Stale = p.stale
-	ns.Length = p.length.State()
-	ns.Upload = p.upload.State()
-	p.learner.StateInto(&ns.Learner)
-	ns.Drift = driftState(p)
-	return appendNodeFrame(dst, ns)
+// streamFrames writes a node frame for every node (dirtyOnly false) or
+// every dirty node, shard by shard with IDs sorted within each shard,
+// and marks the written nodes clean.
+func (f *Fleet) streamFrames(sw *snaplog.Writer, dirtyOnly bool) (int, error) {
+	// One buffer sized for the largest shard, so the whole pass
+	// allocates the same whatever the node count. It holds each shard's
+	// profiles sorted by ID (profiles carry their ID), so writing them
+	// needs no second map lookup per node.
+	largest := 0
+	for i := range f.shards {
+		sh := &f.shards[i]
+		sh.mu.Lock()
+		largest = max(largest, len(sh.nodes))
+		sh.mu.Unlock()
+	}
+	ps := make([]*profile, 0, largest)
+	var frame []byte
+	total := 0
+	for i := range f.shards {
+		sh := &f.shards[i]
+		sh.mu.Lock()
+		ps = ps[:0]
+		for _, p := range sh.nodes {
+			if p.dirty || !dirtyOnly {
+				ps = append(ps, p)
+			}
+		}
+		slices.SortFunc(ps, byID)
+		for _, p := range ps {
+			var err error
+			if frame, err = appendProfileFrame(frame[:0], p); err != nil {
+				sh.mu.Unlock()
+				return total, fmt.Errorf("fleet: node %s: %w", p.id, err)
+			}
+			//rushlint:allow locksafe — streaming snapshot: one shard locked at a time while its frames stream out, trading lock hold time for bounded memory (buffering a shard's frames would reintroduce the 1M-node snapshot spike)
+			if err := sw.WriteFrame(snaplog.FrameNode, frame); err != nil {
+				sh.mu.Unlock()
+				return total, fmt.Errorf("fleet: write node %s: %w", p.id, err)
+			}
+			p.dirty = false
+			total++
+		}
+		sh.mu.Unlock()
+	}
+	return total, nil
 }
+
+// byID orders profiles by node ID.
+func byID(a, b *profile) int { return strings.Compare(a.id, b.id) }
 
 // AppendBinaryDelta writes node frames for every dirty node (no meta
 // frame) and marks them clean, returning how many were written. The
@@ -535,36 +548,9 @@ func (f *Fleet) appendProfileFrame(dst []byte, ns *NodeState, p *profile) ([]byt
 // IDs sorted within each shard.
 func (f *Fleet) AppendBinaryDelta(w io.Writer) (int, error) {
 	sw := snaplog.NewWriter(w)
-	var scratch []byte
-	var ns NodeState
-	var ids []string
-	total := 0
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		ids = ids[:0]
-		for id, p := range sh.nodes {
-			if p.dirty {
-				ids = append(ids, id)
-			}
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			p := sh.nodes[id]
-			var err error
-			if scratch, err = f.appendProfileFrame(scratch[:0], &ns, p); err != nil {
-				sh.mu.Unlock()
-				return total, fmt.Errorf("fleet: node %s: %w", id, err)
-			}
-			//rushlint:allow locksafe — streaming snapshot: one shard locked at a time while its frames stream out, trading lock hold time for bounded memory (buffering a shard's frames would reintroduce the 1M-node snapshot spike)
-			if err := sw.WriteFrame(snaplog.FrameNode, scratch); err != nil {
-				sh.mu.Unlock()
-				return total, fmt.Errorf("fleet: write node %s: %w", id, err)
-			}
-			p.dirty = false
-			total++
-		}
-		sh.mu.Unlock()
+	total, err := f.streamFrames(sw, true)
+	if err != nil {
+		return total, err
 	}
 	if err := sw.Flush(); err != nil {
 		return total, fmt.Errorf("fleet: flush delta: %w", err)
@@ -626,22 +612,22 @@ func (f *Fleet) ReadBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 }
 
 func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
+	start := time.Now()
 	sr := snaplog.NewReader(r)
 	info := &RecoveryInfo{}
-	nodes := make(map[string]NodeState)
-	order := []string{} // insertion order for deterministic error paths
+	var rs nodeRecords
 	for {
-		fr, err := sr.Next()
+		fr, err := sr.NextReuse()
 		if err == io.EOF {
 			break
 		}
-		var te *snaplog.TruncatedError
-		if errors.As(err, &te) {
-			info.Truncated = true
-			info.TornOffset = te.Offset
-			break
-		}
 		if err != nil {
+			var te *snaplog.TruncatedError
+			if errors.As(err, &te) {
+				info.Truncated = true
+				info.TornOffset = te.Offset
+				break
+			}
 			return nil, fmt.Errorf("fleet: read snapshot log: %w", err)
 		}
 		switch fr.Type {
@@ -651,26 +637,20 @@ func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 			}
 			// A new generation: everything before this full snapshot is
 			// superseded.
-			if len(nodes) > 0 {
-				nodes = make(map[string]NodeState)
-				order = order[:0]
-			}
+			rs.reset()
 			info.Generations++
 		case snaplog.FrameNode:
 			if info.Generations == 0 {
 				return nil, fmt.Errorf("fleet: snapshot log starts with a node frame at byte %d, want a meta frame", fr.Offset)
 			}
-			n, err := decodeNodeFrame(fr.Payload)
+			n, err := rs.decode(fr.Payload)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: node frame at byte %d: %w", fr.Offset, err)
 			}
-			if n.ID == "" {
+			if n.id == "" {
 				return nil, fmt.Errorf("fleet: node frame at byte %d has an empty ID", fr.Offset)
 			}
-			if _, seen := nodes[n.ID]; !seen {
-				order = append(order, n.ID)
-			}
-			nodes[n.ID] = n // last record wins
+			rs.keep(f)
 		}
 		info.Frames = sr.Frames()
 	}
@@ -680,24 +660,17 @@ func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 		}
 		return nil, errors.New("fleet: snapshot log is empty")
 	}
-	s := &Snapshot{Version: snapshotVersion, BaseFingerprint: f.baseFP}
-	s.Nodes = make([]NodeState, 0, len(nodes))
-	for _, id := range order {
-		s.Nodes = append(s.Nodes, nodes[id])
-	}
-	if err := f.Restore(s); err != nil {
+	info.Decode = time.Since(start)
+	ps, err := rs.profiles()
+	if err != nil {
 		return nil, err
 	}
 	// The log is the source of truth these nodes came from: they are
-	// clean until the next mutation.
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.Lock()
-		for _, p := range sh.nodes {
-			p.dirty = false
-		}
-		sh.mu.Unlock()
+	// admitted clean, until the next mutation.
+	if err := f.replaceProfiles(ps, false); err != nil {
+		return nil, err
 	}
-	info.Nodes = len(nodes)
+	info.Nodes = len(ps)
+	info.Admit = time.Since(start) - info.Decode
 	return info, nil
 }

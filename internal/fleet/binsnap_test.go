@@ -334,8 +334,7 @@ func TestBinarySnapshotCrashRecovery(t *testing.T) {
 		f.shards[0].mu.Lock()
 		defer f.shards[0].mu.Unlock()
 		for _, p := range f.shards[0].nodes {
-			var ns NodeState
-			scratch, _ = f.appendProfileFrame(nil, &ns, p)
+			scratch, _ = appendProfileFrame(nil, p)
 			break
 		}
 	}()

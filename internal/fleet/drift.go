@@ -24,27 +24,18 @@ type monitor struct {
 }
 
 // newMonitor builds a node's stream monitor, or nil when the fleet's
-// drift detection is disabled.
+// drift detection is disabled. Config validation already proved the
+// (kind, tuning) pair constructible, so failure here is a programming
+// error.
 func (f *Fleet) newMonitor() *monitor {
 	if f.cfg.DriftDetector == "" {
 		return nil
 	}
-	return &monitor{
-		rate:   f.newDetector(),
-		length: f.newDetector(),
-		share:  f.newDetector(),
-	}
-}
-
-// newDetector builds one configured detector. Config validation
-// already proved the (kind, tuning) pair constructible, so failure
-// here is a programming error.
-func (f *Fleet) newDetector() drift.Detector {
-	d, err := drift.New(f.cfg.DriftDetector, f.cfg.DriftTuning)
-	if err != nil {
+	var d [3]drift.Detector
+	if err := drift.NewSet(d[:], f.cfg.DriftDetector, f.cfg.DriftTuning); err != nil {
 		panic(err)
 	}
-	return d
+	return &monitor{rate: d[0], length: d[1], share: d[2]}
 }
 
 // reset returns every stream detector to warmup.

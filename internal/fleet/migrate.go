@@ -55,8 +55,7 @@ func (f *Fleet) ExportNodes(ids []string) ([]byte, error) {
 	if err := sw.WriteFrame(snaplog.FrameMeta, f.appendMetaFrame(nil)); err != nil {
 		return nil, fmt.Errorf("fleet: export meta: %w", err)
 	}
-	var scratch []byte
-	var ns NodeState
+	var frame []byte
 	prev := ""
 	for i, id := range sorted {
 		if i > 0 && id == prev {
@@ -70,16 +69,16 @@ func (f *Fleet) ExportNodes(ids []string) ([]byte, error) {
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("fleet: export: unknown node %s", id)
 		}
-		var err error
 		// The frame is built under the shard lock (pure in-memory encode)
 		// and written to the buffer after release, so the lock never
 		// covers the snaplog writer.
-		scratch, err = f.appendProfileFrame(scratch[:0], &ns, p)
+		var err error
+		frame, err = appendProfileFrame(frame[:0], p)
 		sh.mu.Unlock()
 		if err != nil {
 			return nil, fmt.Errorf("fleet: export node %s: %w", id, err)
 		}
-		if err := sw.WriteFrame(snaplog.FrameNode, scratch); err != nil {
+		if err := sw.WriteFrame(snaplog.FrameNode, frame); err != nil {
 			return nil, fmt.Errorf("fleet: export node %s: %w", id, err)
 		}
 	}
@@ -104,20 +103,19 @@ func (f *Fleet) ExportNodes(ids []string) ([]byte, error) {
 func (f *Fleet) ImportFrames(data []byte) (int, error) {
 	sr := snaplog.NewReader(bytes.NewReader(data))
 	sawMeta := false
-	states := make(map[string]NodeState)
-	var order []string
+	var rs nodeRecords
 	for {
-		fr, err := sr.Next()
+		fr, err := sr.NextReuse()
 		if err == io.EOF {
 			break
 		}
-		var te *snaplog.TruncatedError
-		if errors.As(err, &te) {
-			// Unlike a crash-torn log tail, an import arrived over the
-			// wire in one piece; a short payload means loss in transit.
-			return 0, fmt.Errorf("fleet: import truncated at byte %d", te.Offset)
-		}
 		if err != nil {
+			var te *snaplog.TruncatedError
+			if errors.As(err, &te) {
+				// Unlike a crash-torn log tail, an import arrived over the
+				// wire in one piece; a short payload means loss in transit.
+				return 0, fmt.Errorf("fleet: import truncated at byte %d", te.Offset)
+			}
 			return 0, fmt.Errorf("fleet: import: %w", err)
 		}
 		switch fr.Type {
@@ -130,29 +128,20 @@ func (f *Fleet) ImportFrames(data []byte) (int, error) {
 			if !sawMeta {
 				return 0, fmt.Errorf("fleet: import starts with a node frame at byte %d, want a meta frame", fr.Offset)
 			}
-			n, err := decodeNodeFrame(fr.Payload)
-			if err != nil {
+			if _, err := rs.decode(fr.Payload); err != nil {
 				return 0, fmt.Errorf("fleet: import node frame at byte %d: %w", fr.Offset, err)
 			}
-			if _, seen := states[n.ID]; !seen {
-				order = append(order, n.ID)
-			}
-			states[n.ID] = n // last record wins, like the snapshot log
+			rs.keep(f) // last record wins, like the snapshot log
 		}
 	}
 	if !sawMeta {
 		return 0, errors.New("fleet: import contains no meta frame")
 	}
-	// Build and validate every profile before admitting any: one bad
-	// node rejects the whole import.
-	built := make([]*profile, 0, len(order))
-	for _, id := range order {
-		n := states[id]
-		p, err := f.buildProfile(&n)
-		if err != nil {
-			return 0, err
-		}
-		built = append(built, p)
+	// Every node passed the gate before any is admitted: one bad node
+	// rejects the whole import.
+	built, err := rs.profiles()
+	if err != nil {
+		return 0, err
 	}
 	// Admit. Unlike Restore (whole-fleet replace, counters Stored), an
 	// import lands on a live fleet, so the counters adjust by deltas —

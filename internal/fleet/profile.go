@@ -15,8 +15,8 @@ import (
 // the owning shard's lock.
 type profile struct {
 	id      string
-	length  *learn.ContactLength
-	upload  *learn.UploadAmount
+	length  learn.ContactLength
+	upload  learn.UploadAmount
 	learner *learn.RushHourLearner
 
 	// strategy is the node's canonical strategy override; empty means
@@ -65,8 +65,8 @@ func (f *Fleet) newProfile(node string) *profile {
 	}
 	return &profile{
 		id:         node,
-		length:     learn.NewContactLength(meanLen),
-		upload:     learn.NewUploadAmount(meanLen * f.cfg.Base.UploadRate),
+		length:     *learn.NewContactLength(meanLen),
+		upload:     *learn.NewUploadAmount(meanLen * f.cfg.Base.UploadRate),
 		learner:    learner,
 		mon:        f.newMonitor(),
 		firstDrift: -1,
@@ -81,15 +81,15 @@ func (f *Fleet) newProfile(node string) *profile {
 // pointer and amortized bucket overhead.
 const mapEntryOverhead = 48
 
-// footprint estimates the profile's resident bytes: the struct, its ID
-// string (stored here and referenced again as the map key), the learn
-// estimators, the drift monitor, and the shard map's per-entry
-// overhead. The cached *Schedule is shared fleet-wide and deliberately
-// counted as just its pointer (already inside Sizeof). Callers hold the
-// shard lock.
+// footprint estimates the profile's resident bytes: the struct (which
+// holds the length and upload estimators), its ID string (stored here
+// and referenced again as the map key), the rush-hour learner, the
+// drift monitor, and the shard map's per-entry overhead. The cached
+// *Schedule is shared fleet-wide and deliberately counted as just its
+// pointer (already inside Sizeof). Callers hold the shard lock.
 func (p *profile) footprint() int {
 	n := int(unsafe.Sizeof(*p)) + len(p.id) + mapEntryOverhead
-	n += p.length.Footprint() + p.upload.Footprint() + p.learner.Footprint()
+	n += p.learner.Footprint()
 	if p.mon != nil {
 		n += p.mon.footprint()
 	}

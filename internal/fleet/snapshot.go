@@ -107,34 +107,107 @@ func (f *Fleet) Restore(s *Snapshot) error {
 	if s.BaseFingerprint != f.baseFP {
 		return fmt.Errorf("fleet: snapshot base fingerprint %016x does not match configured base %016x", s.BaseFingerprint, f.baseFP)
 	}
-	restored := make(map[int]map[string]*profile, len(f.shards))
-	var observed, stale, driftTotal int64
+	ps := make([]*profile, len(s.Nodes))
 	for i := range s.Nodes {
-		n := &s.Nodes[i]
-		p, err := f.buildProfile(n)
+		rec := stateRecord(&s.Nodes[i])
+		p, err := f.buildProfile(&rec)
 		if err != nil {
 			return err
 		}
-		si := f.shardIndex(n.ID)
-		if restored[si] == nil {
-			restored[si] = make(map[string]*profile)
+		ps[i] = p
+	}
+	// Restored nodes stay dirty: a JSON snapshot is a foreign source no
+	// binary log contains yet.
+	return f.replaceProfiles(ps, true)
+}
+
+// nodeRecord is one node's persisted state as the admission gate
+// (buildProfile) reads it. A binary node frame decodes straight into
+// one — learner hydrated, drift registers in fixed arrays, no maps, no
+// NodeState — and a JSON NodeState converts into one.
+type nodeRecord struct {
+	id       string
+	strategy string
+	epoch    int
+	observed int64
+	stale    int64
+	length   learn.ContactLengthState
+	upload   learn.UploadAmountState
+	// learner is hydrated by the binary decoder; a JSON node carries
+	// learnerState instead, which the gate restores.
+	learner      *learn.RushHourLearner
+	learnerState *learn.RushHourState
+	drift        driftRecord
+}
+
+// driftRecord is a node's persisted drift state (see NodeDriftState).
+type driftRecord struct {
+	present     bool
+	events      int64
+	first, last int
+	contacts    int
+	lenSum      float64
+	// streams flags which of regs (rate, length, share) hold a
+	// detector's registers.
+	streams [3]bool
+	regs    [3]drift.Registers
+}
+
+// stateRecord converts a JSON snapshot node for the admission gate.
+func stateRecord(n *NodeState) nodeRecord {
+	rec := nodeRecord{
+		id:           n.ID,
+		strategy:     n.Strategy,
+		epoch:        n.Epoch,
+		observed:     n.Observed,
+		stale:        n.Stale,
+		length:       n.Length,
+		upload:       n.Upload,
+		learnerState: &n.Learner,
+	}
+	if ds := n.Drift; ds != nil {
+		rec.drift = driftRecord{present: true, events: ds.Events, first: ds.First, last: ds.Last, contacts: ds.Contacts, lenSum: ds.LenSum}
+		for i, st := range [3]*drift.State{ds.Rate, ds.Length, ds.Share} {
+			if st != nil {
+				rec.drift.streams[i] = true
+				rec.drift.regs[i] = st.Registers()
+			}
 		}
-		if _, dup := restored[si][n.ID]; dup {
-			return fmt.Errorf("fleet: snapshot contains node %s twice", n.ID)
+	}
+	return rec
+}
+
+// replaceProfiles swaps built profiles in as the fleet's whole state,
+// into per-shard maps presized from the node count. dirty is the
+// profiles' delta-log bit.
+func (f *Fleet) replaceProfiles(ps []*profile, dirty bool) error {
+	shardOf := make([]int, len(ps))
+	sizes := make([]int, len(f.shards))
+	for i, p := range ps {
+		shardOf[i] = f.shardIndex(p.id)
+		sizes[shardOf[i]]++
+	}
+	restored := make([]map[string]*profile, len(f.shards))
+	for i := range restored {
+		restored[i] = make(map[string]*profile, sizes[i])
+	}
+	var observed, stale, driftTotal int64
+	for i, p := range ps {
+		m := restored[shardOf[i]]
+		if _, dup := m[p.id]; dup {
+			return fmt.Errorf("fleet: snapshot contains node %s twice", p.id)
 		}
-		restored[si][n.ID] = p
-		observed += n.Observed
-		stale += n.Stale
+		p.dirty = dirty
+		m[p.id] = p
+		observed += p.observed
+		stale += p.stale
 		driftTotal += p.driftEvents
 	}
-	// All-or-nothing: swap in the new maps only after every node parsed.
+	// All-or-nothing: the maps go in only once every node passed.
 	for i := range f.shards {
 		sh := &f.shards[i]
 		sh.mu.Lock()
 		sh.nodes = restored[i]
-		if sh.nodes == nil {
-			sh.nodes = make(map[string]*profile)
-		}
 		sh.mu.Unlock()
 	}
 	f.accepted.Store(observed)
@@ -143,72 +216,77 @@ func (f *Fleet) Restore(s *Snapshot) error {
 	return nil
 }
 
-// buildProfile validates one serialized node against this fleet's
-// configuration and hydrates it into a live profile — the shared
-// admission gate of Restore (whole-fleet replace) and ImportFrames
-// (live shard handoff). Any shape mismatch or undecodable estimator
-// state is an error; nothing is admitted partially.
-func (f *Fleet) buildProfile(n *NodeState) (*profile, error) {
-	if n.ID == "" {
+// buildProfile validates one persisted node against this fleet's
+// configuration and hydrates it into a live profile — the single
+// admission gate of Restore and ReadBinarySnapshot (whole-fleet
+// replace) and ImportFrames (live shard handoff). Any shape mismatch
+// or undecodable estimator state is an error; nothing is admitted
+// partially. The profile comes back dirty.
+func (f *Fleet) buildProfile(n *nodeRecord) (*profile, error) {
+	if n.id == "" {
 		return nil, fmt.Errorf("fleet: snapshot contains a node with an empty ID")
 	}
-	if got := len(n.Learner.Slots); got != len(f.cfg.Base.Slots) {
-		return nil, fmt.Errorf("fleet: node %s learner has %d slots, base scenario has %d", n.ID, got, len(f.cfg.Base.Slots))
+	var slots, rushSlots int
+	if n.learner != nil {
+		slots, rushSlots = n.learner.Slots(), n.learner.RushSlots()
+	} else {
+		slots, rushSlots = len(n.learnerState.Slots), n.learnerState.RushSlots
 	}
-	if n.Learner.RushSlots != f.cfg.RushSlots {
+	if slots != len(f.cfg.Base.Slots) {
+		return nil, fmt.Errorf("fleet: node %s learner has %d slots, base scenario has %d", n.id, slots, len(f.cfg.Base.Slots))
+	}
+	if rushSlots != f.cfg.RushSlots {
 		// RushSlots is fleet configuration, not base-scenario state,
 		// so the fingerprint guard cannot catch this; a mismatch would
 		// make restored nodes rank a different number of rush slots
 		// than newly admitted ones.
-		return nil, fmt.Errorf("fleet: node %s learner ranks %d rush slots, fleet is configured for %d", n.ID, n.Learner.RushSlots, f.cfg.RushSlots)
+		return nil, fmt.Errorf("fleet: node %s learner ranks %d rush slots, fleet is configured for %d", n.id, rushSlots, f.cfg.RushSlots)
 	}
-	length, err := learn.RestoreContactLength(n.Length)
+	length, err := learn.RestoreContactLength(n.length)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: node %s: %w", n.ID, err)
+		return nil, fmt.Errorf("fleet: node %s: %w", n.id, err)
 	}
-	upload, err := learn.RestoreUploadAmount(n.Upload)
+	upload, err := learn.RestoreUploadAmount(n.upload)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: node %s: %w", n.ID, err)
+		return nil, fmt.Errorf("fleet: node %s: %w", n.id, err)
 	}
-	learner, err := learn.RestoreRushHourLearner(n.Learner)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: node %s: %w", n.ID, err)
+	learner := n.learner
+	if learner == nil {
+		if learner, err = learn.RestoreRushHourLearner(*n.learnerState); err != nil {
+			return nil, fmt.Errorf("fleet: node %s: %w", n.id, err)
+		}
 	}
 	override := ""
-	if n.Strategy != "" {
-		strat, err := strategy.Lookup(n.Strategy)
+	if n.strategy != "" {
+		strat, err := strategy.Lookup(n.strategy)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: node %s: %w", n.ID, err)
+			return nil, fmt.Errorf("fleet: node %s: %w", n.id, err)
 		}
 		override = strat.Name()
 	}
 	p := &profile{
-		id:         n.ID,
+		id:         n.id,
 		strategy:   override,
 		length:     length,
 		upload:     upload,
 		learner:    learner,
-		epoch:      n.Epoch,
-		observed:   n.Observed,
-		stale:      n.Stale,
+		epoch:      n.epoch,
+		observed:   n.observed,
+		stale:      n.stale,
 		mon:        f.newMonitor(),
 		firstDrift: -1,
 		lastDrift:  -1,
-		// Restored nodes start dirty: the source may be a foreign
-		// snapshot (e.g. a JSON import) that no binary log contains
-		// yet. ReadBinarySnapshot clears the flags afterwards, since
-		// there the log itself is the source.
-		dirty: true,
+		dirty:      true,
 	}
-	if err := f.restoreDrift(p, n.Drift); err != nil {
-		return nil, fmt.Errorf("fleet: node %s: %w", n.ID, err)
+	if err := f.restoreDrift(p, &n.drift); err != nil {
+		return nil, fmt.Errorf("fleet: node %s: %w", n.id, err)
 	}
 	return p, nil
 }
 
-// driftState exports a profile's drift-detection state, or nil when
-// there is nothing to persist (detection disabled and no recorded
-// events), keeping pre-drift snapshots byte-identical.
+// driftState exports a profile's drift-detection state for the JSON
+// snapshot, or nil when there is nothing to persist (detection disabled
+// and no recorded events), keeping pre-drift snapshots byte-identical.
 func driftState(p *profile) *NodeDriftState {
 	if p.mon == nil && p.driftEvents == 0 {
 		return nil
@@ -220,55 +298,54 @@ func driftState(p *profile) *NodeDriftState {
 	if p.mon != nil {
 		ds.Contacts = p.epochContacts
 		ds.LenSum = p.epochLenSum
-		rs, ls, ss := p.mon.rate.State(), p.mon.length.State(), p.mon.share.State()
-		ds.Rate, ds.Length, ds.Share = &rs, &ls, &ss
+		var states [3]*drift.State
+		for i, d := range [3]drift.Detector{p.mon.rate, p.mon.length, p.mon.share} {
+			r := d.Registers()
+			s := r.State()
+			states[i] = &s
+		}
+		ds.Rate, ds.Length, ds.Share = states[0], states[1], states[2]
 	}
 	return ds
 }
 
-// restoreDrift applies a snapshot's drift state to a freshly built
+// restoreDrift applies a persisted drift state to a freshly built
 // profile. Counters always carry over; detector registers restore only
 // when this fleet runs a detector (a fleet configured without one
-// keeps the history but drops the registers, and a snapshot from a
+// keeps the history but drops the registers, and a node from a
 // detector-less fleet leaves the fresh detectors in warmup).
-func (f *Fleet) restoreDrift(p *profile, ds *NodeDriftState) error {
-	if ds == nil {
+func (f *Fleet) restoreDrift(p *profile, ds *driftRecord) error {
+	if !ds.present {
 		return nil
 	}
-	if ds.Events < 0 {
-		return fmt.Errorf("fleet: snapshot has negative drift event count %d", ds.Events)
+	if ds.events < 0 {
+		return fmt.Errorf("fleet: snapshot has negative drift event count %d", ds.events)
 	}
-	if ds.Contacts < 0 || ds.LenSum < 0 {
-		return fmt.Errorf("fleet: snapshot has negative epoch accumulators (%d contacts, %g length)", ds.Contacts, ds.LenSum)
+	if ds.contacts < 0 || ds.lenSum < 0 {
+		return fmt.Errorf("fleet: snapshot has negative epoch accumulators (%d contacts, %g length)", ds.contacts, ds.lenSum)
 	}
-	p.driftEvents = ds.Events
-	if ds.Events > 0 {
-		p.firstDrift, p.lastDrift = ds.First, ds.Last
+	p.driftEvents = ds.events
+	if ds.events > 0 {
+		p.firstDrift, p.lastDrift = ds.first, ds.last
 	}
-	p.epochContacts = ds.Contacts
-	p.epochLenSum = ds.LenSum
+	p.epochContacts = ds.contacts
+	p.epochLenSum = ds.lenSum
 	if p.mon == nil {
 		return nil
 	}
-	streams := []struct {
-		det   drift.Detector
-		state *drift.State
-		name  string
-	}{
-		{p.mon.rate, ds.Rate, "rate"},
-		{p.mon.length, ds.Length, "length"},
-		{p.mon.share, ds.Share, "share"},
-	}
-	for _, s := range streams {
-		if s.state == nil {
+	for i, det := range [3]drift.Detector{p.mon.rate, p.mon.length, p.mon.share} {
+		if !ds.streams[i] {
 			continue
 		}
-		if err := s.det.Restore(*s.state); err != nil {
-			return fmt.Errorf("%s stream: %w", s.name, err)
+		if err := det.RestoreRegisters(&ds.regs[i]); err != nil {
+			return fmt.Errorf("%s stream: %w", streamNames[i], err)
 		}
 	}
 	return nil
 }
+
+// streamNames names the monitor's streams in rate, length, share order.
+var streamNames = [3]string{"rate", "length", "share"}
 
 // WriteSnapshot serializes the fleet's state as JSON. With telemetry
 // armed, the full snapshot+encode pass is timed into the snapshot-save

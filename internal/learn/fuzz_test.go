@@ -42,5 +42,28 @@ func FuzzProfileRecordRoundTrip(f *testing.F) {
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("decode/encode is not canonical:\n in  %x\n out %x", data, enc)
 		}
+		// The live-estimator encoder writes what the state encoder
+		// writes for the same estimators (restoring may normalize a
+		// prior, so compare against the restored state, not data).
+		length, upload, learner, err := RestoreRecord(data)
+		if err != nil {
+			t.Fatalf("RestoreRecord rejects what UnmarshalBinary accepts: %v", err)
+		}
+		c, err := RestoreContactLength(length)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := RestoreUploadAmount(upload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := ProfileRecord{Length: c.State(), Upload: u.State(), Learner: learner.State()}
+		want, err := ref.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live, err := AppendRecord(nil, &c, &u, learner); err != nil || !bytes.Equal(live, want) {
+			t.Fatalf("AppendRecord differs from AppendBinary of the same state (%v):\n want %x\n got  %x", err, want, live)
+		}
 	})
 }

@@ -129,8 +129,8 @@ func (u *UploadAmount) Footprint() int {
 type RushHourLearner struct {
 	slots     int
 	rushSlots int
-	epochCap  []float64      // capacity observed in the current epoch
-	perEpoch  *stats.EWMAVec // smoothed capacity per slot across epochs
+	epochCap  []float64     // capacity observed in the current epoch
+	perEpoch  stats.EWMAVec // smoothed capacity per slot across epochs
 	epochs    int
 }
 
@@ -152,7 +152,7 @@ func NewRushHourLearner(slots, rushSlots int) (*RushHourLearner, error) {
 		slots:     slots,
 		rushSlots: rushSlots,
 		epochCap:  make([]float64, slots),
-		perEpoch:  stats.NewEWMAVec(learnerAlpha, slots),
+		perEpoch:  *stats.NewEWMAVec(learnerAlpha, slots),
 	}, nil
 }
 
@@ -181,6 +181,12 @@ func (l *RushHourLearner) EndEpoch() {
 // Epochs returns how many epochs have been folded in.
 func (l *RushHourLearner) Epochs() int { return l.epochs }
 
+// Slots returns the number of slots per epoch the learner ranks.
+func (l *RushHourLearner) Slots() int { return l.slots }
+
+// RushSlots returns how many slots the learner marks as rush hours.
+func (l *RushHourLearner) RushSlots() int { return l.rushSlots }
+
 // Footprint estimates the learner's resident size in bytes: the struct,
 // its per-slot accumulator, and the packed EWMA vector. Per-slot state
 // dominates a node's footprint, which is what makes this the
@@ -188,7 +194,8 @@ func (l *RushHourLearner) Epochs() int { return l.epochs }
 func (l *RushHourLearner) Footprint() int {
 	n := int(unsafe.Sizeof(*l))
 	n += cap(l.epochCap) * int(unsafe.Sizeof(float64(0)))
-	n += l.perEpoch.FootprintBytes()
+	// The vector's struct is inside the learner's; count its arrays.
+	n += l.perEpoch.FootprintBytes() - int(unsafe.Sizeof(l.perEpoch))
 	return n
 }
 
@@ -371,13 +378,14 @@ func (c *ContactLength) State() ContactLengthState {
 	return ContactLengthState{Prior: c.prior, EWMA: c.ewma.State()}
 }
 
-// RestoreContactLength rebuilds an estimator from exported state.
-func RestoreContactLength(s ContactLengthState) (*ContactLength, error) {
+// RestoreContactLength rebuilds an estimator from exported state. It
+// returns the estimator by value, for embedding in a larger struct.
+func RestoreContactLength(s ContactLengthState) (ContactLength, error) {
 	c := NewContactLength(s.Prior)
 	if err := c.ewma.SetState(s.EWMA); err != nil {
-		return nil, fmt.Errorf("learn: contact length: %w", err)
+		return ContactLength{}, fmt.Errorf("learn: contact length: %w", err)
 	}
-	return c, nil
+	return *c, nil
 }
 
 // UploadAmountState is the serializable state of an UploadAmount
@@ -392,13 +400,14 @@ func (u *UploadAmount) State() UploadAmountState {
 	return UploadAmountState{Prior: u.prior, EWMA: u.ewma.State()}
 }
 
-// RestoreUploadAmount rebuilds an estimator from exported state.
-func RestoreUploadAmount(s UploadAmountState) (*UploadAmount, error) {
+// RestoreUploadAmount rebuilds an estimator from exported state. It
+// returns the estimator by value, for embedding in a larger struct.
+func RestoreUploadAmount(s UploadAmountState) (UploadAmount, error) {
 	u := NewUploadAmount(s.Prior)
 	if err := u.ewma.SetState(s.EWMA); err != nil {
-		return nil, fmt.Errorf("learn: upload amount: %w", err)
+		return UploadAmount{}, fmt.Errorf("learn: upload amount: %w", err)
 	}
-	return u, nil
+	return *u, nil
 }
 
 // RushHourState is the serializable state of a RushHourLearner: the
@@ -424,29 +433,6 @@ func (l *RushHourLearner) State() RushHourState {
 		s.Slots[i] = l.perEpoch.State(i)
 	}
 	return s
-}
-
-// StateInto fills s with the learner's state, reusing s's backing
-// arrays when they have capacity — the allocation-free variant of
-// State the fleet's streaming binary snapshot leans on (one reused
-// buffer instead of two fresh slices per node).
-func (l *RushHourLearner) StateInto(s *RushHourState) {
-	s.RushSlots = l.rushSlots
-	s.Epochs = l.epochs
-	if cap(s.EpochCap) < l.slots {
-		s.EpochCap = make([]float64, l.slots)
-	} else {
-		s.EpochCap = s.EpochCap[:l.slots]
-	}
-	if cap(s.Slots) < l.slots {
-		s.Slots = make([]stats.EWMAState, l.slots)
-	} else {
-		s.Slots = s.Slots[:l.slots]
-	}
-	copy(s.EpochCap, l.epochCap)
-	for i := range s.Slots {
-		s.Slots[i] = l.perEpoch.State(i)
-	}
 }
 
 // RestoreRushHourLearner rebuilds a learner from exported state.

@@ -144,6 +144,66 @@ func (r *ProfileRecord) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// AppendRecord appends the canonical record of live estimators: the
+// bytes ProfileRecord{c.State(), u.State(), l.State()}.AppendBinary
+// appends, read from the learner's lanes in place instead of through a
+// RushHourState copy. A live learner always holds valid lanes, so only
+// the record's range limits can fail.
+func AppendRecord(dst []byte, c *ContactLength, u *UploadAmount, l *RushHourLearner) ([]byte, error) {
+	slots := l.slots
+	if slots < 1 || slots > MaxRecordSlots {
+		return nil, fmt.Errorf("learn: record slot count %d out of [1, %d]", slots, MaxRecordSlots)
+	}
+	if l.epochs < 0 || l.epochs > maxRecordCount {
+		return nil, fmt.Errorf("learn: record epoch count %d out of [0, %d]", l.epochs, uint64(maxRecordCount))
+	}
+	v := &l.perEpoch
+	uniform := true
+	for i := 0; i < slots && uniform; i++ {
+		uniform = v.Count(i) == l.epochs && v.Seeded(i) == (l.epochs > 0)
+	}
+	var flags byte
+	if uniform {
+		flags |= recordFlagUniform
+	}
+	dst = append(dst, RecordVersion, flags)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(slots))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(l.rushSlots))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(l.epochs))
+	dst, err := appendScalar(dst, c.prior, c.ewma.State())
+	if err != nil {
+		return nil, fmt.Errorf("learn: record length estimator: %w", err)
+	}
+	if dst, err = appendScalar(dst, u.prior, u.ewma.State()); err != nil {
+		return nil, fmt.Errorf("learn: record upload estimator: %w", err)
+	}
+	for _, x := range l.epochCap {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	for i := 0; i < slots; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Value(i)))
+	}
+	if !uniform {
+		for i := 0; i < slots; i++ {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(v.Count(i)))
+		}
+		var b byte
+		for i := 0; i < slots; i++ {
+			if v.Seeded(i) {
+				b |= 1 << (uint(i) % 8)
+			}
+			if i%8 == 7 {
+				dst = append(dst, b)
+				b = 0
+			}
+		}
+		if slots%8 != 0 {
+			dst = append(dst, b)
+		}
+	}
+	return dst, nil
+}
+
 // MarshalBinary returns the record's canonical encoding.
 func (r *ProfileRecord) MarshalBinary() ([]byte, error) {
 	return r.AppendBinary(make([]byte, 0, RecordSize(len(r.Learner.Slots), learnerUniform(&r.Learner))))
@@ -167,98 +227,108 @@ func appendScalar(dst []byte, prior float64, e stats.EWMAState) ([]byte, error) 
 	return dst, nil
 }
 
-// UnmarshalBinary decodes a canonical record. It rejects anything
-// else: wrong version, unknown flags, out-of-range slot counts,
-// truncated or oversized payloads, non-0/1 seeded bytes, stray bits in
-// the seeded bitset, and explicit per-slot arrays that should have
-// used the uniform layout. Every bound is checked before the matching
-// allocation, so hostile input cannot make the decoder allocate more
-// than O(len(data)).
+// UnmarshalBinary decodes a canonical record; it accepts exactly what
+// RestoreRecord accepts, with the same errors.
 func (r *ProfileRecord) UnmarshalBinary(data []byte) error {
+	length, upload, learner, err := RestoreRecord(data)
+	if err != nil {
+		return err
+	}
+	r.Length, r.Upload, r.Learner = length, upload, learner.State()
+	return nil
+}
+
+// RestoreRecord decodes a canonical record straight into a live
+// rush-hour learner, with no intermediate per-slot state slices; the
+// scalar estimators come back as their (allocation-free) states. It
+// rejects anything non-canonical: wrong version, unknown flags,
+// out-of-range slot counts, truncated or oversized payloads, non-0/1
+// seeded bytes, stray bits in the seeded bitset, and explicit per-slot
+// arrays that should have used the uniform layout. Every bound is
+// checked before the learner is allocated, so hostile input cannot make
+// the decoder allocate more than O(len(data)).
+func RestoreRecord(data []byte) (ContactLengthState, UploadAmountState, *RushHourLearner, error) {
+	var length ContactLengthState
+	var upload UploadAmountState
 	if len(data) < recordHeaderSize {
-		return fmt.Errorf("learn: record truncated at %d bytes (header is %d)", len(data), recordHeaderSize)
+		return length, upload, nil, fmt.Errorf("learn: record truncated at %d bytes (header is %d)", len(data), recordHeaderSize)
 	}
 	if data[0] != RecordVersion {
-		return fmt.Errorf("learn: record version %d, want %d", data[0], RecordVersion)
+		return length, upload, nil, fmt.Errorf("learn: record version %d, want %d", data[0], RecordVersion)
 	}
 	flags := data[1]
 	if flags&^byte(recordFlagUniform) != 0 {
-		return fmt.Errorf("learn: record has unknown flag bits %#02x", flags)
+		return length, upload, nil, fmt.Errorf("learn: record has unknown flag bits %#02x", flags)
 	}
 	uniform := flags&recordFlagUniform != 0
 	slots := int(binary.LittleEndian.Uint16(data[2:4]))
 	rushSlots := int(binary.LittleEndian.Uint16(data[4:6]))
 	epochs := int(binary.LittleEndian.Uint32(data[6:10]))
 	if slots < 1 || slots > MaxRecordSlots {
-		return fmt.Errorf("learn: record slot count %d out of [1, %d]", slots, MaxRecordSlots)
+		return length, upload, nil, fmt.Errorf("learn: record slot count %d out of [1, %d]", slots, MaxRecordSlots)
 	}
 	if rushSlots < 1 || rushSlots > slots {
-		return fmt.Errorf("learn: record rushSlots %d out of [1, %d]", rushSlots, slots)
+		return length, upload, nil, fmt.Errorf("learn: record rushSlots %d out of [1, %d]", rushSlots, slots)
 	}
 	if want := RecordSize(slots, uniform); len(data) != want {
-		return fmt.Errorf("learn: record is %d bytes, want %d for %d slots", len(data), want, slots)
+		return length, upload, nil, fmt.Errorf("learn: record is %d bytes, want %d for %d slots", len(data), want, slots)
 	}
 	off := recordHeaderSize
-	length, err := decodeScalar(data[off:])
+	ls, err := decodeScalar(data[off:])
 	if err != nil {
-		return fmt.Errorf("learn: record length estimator: %w", err)
+		return length, upload, nil, fmt.Errorf("learn: record length estimator: %w", err)
 	}
 	off += recordScalarSize
-	upload, err := decodeScalar(data[off:])
+	us, err := decodeScalar(data[off:])
 	if err != nil {
-		return fmt.Errorf("learn: record upload estimator: %w", err)
+		return length, upload, nil, fmt.Errorf("learn: record upload estimator: %w", err)
 	}
 	off += recordScalarSize
-	learner := RushHourState{
-		RushSlots: rushSlots,
-		Epochs:    epochs,
-		EpochCap:  make([]float64, slots),
-		Slots:     make([]stats.EWMAState, slots),
-	}
-	for i := 0; i < slots; i++ {
-		learner.EpochCap[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	for i := 0; i < slots; i++ {
-		learner.Slots[i].Value = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	if uniform {
-		for i := range learner.Slots {
-			learner.Slots[i].Count = epochs
-			learner.Slots[i].Seeded = epochs > 0
+	capAt, valueAt := off, off+slots*8
+	countAt, seededAt := valueAt+slots*8, valueAt+slots*12
+	// lane reads slot i's EWMA state: lockstep with the epoch count in
+	// the uniform layout, explicit otherwise.
+	lane := func(i int) stats.EWMAState {
+		s := stats.EWMAState{Value: math.Float64frombits(binary.LittleEndian.Uint64(data[valueAt+8*i:])), Count: epochs, Seeded: epochs > 0}
+		if !uniform {
+			s.Count = int(binary.LittleEndian.Uint32(data[countAt+4*i:]))
+			s.Seeded = data[seededAt+i/8]&(1<<(uint(i)%8)) != 0
 		}
-	} else {
-		for i := 0; i < slots; i++ {
-			learner.Slots[i].Count = int(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-		}
-		var b byte
-		for i := 0; i < slots; i++ {
-			if i%8 == 0 {
-				b = data[off]
-				off++
-			}
-			learner.Slots[i].Seeded = b&(1<<(uint(i)%8)) != 0
-		}
+		return s
+	}
+	if !uniform {
 		if slots%8 != 0 {
-			if stray := b &^ (1<<(uint(slots)%8) - 1); stray != 0 {
-				return fmt.Errorf("learn: record seeded bitset has stray bits %#02x past slot %d", stray, slots-1)
+			if stray := data[len(data)-1] &^ (1<<(uint(slots)%8) - 1); stray != 0 {
+				return length, upload, nil, fmt.Errorf("learn: record seeded bitset has stray bits %#02x past slot %d", stray, slots-1)
 			}
 		}
-		for i := range learner.Slots {
-			if learner.Slots[i].Seeded && learner.Slots[i].Count == 0 {
-				return fmt.Errorf("learn: record slot %d seeded with zero samples", i)
+		canonical := false
+		for i := 0; i < slots; i++ {
+			s := lane(i)
+			if s.Seeded && s.Count == 0 {
+				return length, upload, nil, fmt.Errorf("learn: record slot %d seeded with zero samples", i)
 			}
+			canonical = canonical || s.Count != epochs || s.Seeded != (epochs > 0)
 		}
-		if learnerUniform(&learner) {
-			return fmt.Errorf("learn: record uses the explicit layout for uniform lanes (non-canonical)")
+		if !canonical {
+			return length, upload, nil, fmt.Errorf("learn: record uses the explicit layout for uniform lanes (non-canonical)")
 		}
 	}
-	r.Length = ContactLengthState{Prior: length.prior, EWMA: length.state}
-	r.Upload = UploadAmountState{Prior: upload.prior, EWMA: upload.state}
-	r.Learner = learner
-	return nil
+	l, err := NewRushHourLearner(slots, rushSlots)
+	if err != nil {
+		return length, upload, nil, err // unreachable: slots and rushSlots are range-checked above
+	}
+	l.epochs = epochs
+	for i := range l.epochCap {
+		l.epochCap[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[capAt+8*i:]))
+		// Lanes are validated above; counts are uint32 by construction.
+		if err := l.perEpoch.SetState(i, lane(i)); err != nil {
+			return length, upload, nil, fmt.Errorf("learn: record slot %d: %w", i, err)
+		}
+	}
+	length = ContactLengthState{Prior: ls.prior, EWMA: ls.state}
+	upload = UploadAmountState{Prior: us.prior, EWMA: us.state}
+	return length, upload, l, nil
 }
 
 type scalarRecord struct {

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame types. Unknown types are corruption: the format has no
@@ -102,15 +103,14 @@ func (w *Writer) WriteFrame(typ byte, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("snaplog: frame payload %d bytes exceeds cap %d", len(payload), MaxPayload)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-
 	w.scr = w.scr[:0]
 	w.scr = binary.LittleEndian.AppendUint32(w.scr, uint32(len(payload)))
 	w.scr = append(w.scr, typ)
 	w.scr = append(w.scr, payload...)
-	w.scr = binary.LittleEndian.AppendUint32(w.scr, crc.Sum32())
+	// The CRC covers the type byte and the payload, which sit next to
+	// each other in the scratch buffer (no per-frame hash allocation).
+	crc := crc32.ChecksumIEEE(w.scr[4:])
+	w.scr = binary.LittleEndian.AppendUint32(w.scr, crc)
 	if _, err := w.w.Write(w.scr); err != nil {
 		w.err = err
 		return err
@@ -142,6 +142,11 @@ type Reader struct {
 	r      *bufio.Reader
 	off    int64
 	frames int
+	buf    []byte // NextReuse's payload buffer
+	// hdr and tail receive a frame's header and CRC; as fields they
+	// stay off the per-frame allocation path.
+	hdr  [5]byte
+	tail [4]byte
 }
 
 // NewReader wraps r in a frame reader.
@@ -152,9 +157,24 @@ func NewReader(r io.Reader) *Reader {
 // Next returns the next frame, io.EOF at a clean end of log,
 // *TruncatedError on a torn tail, or *CorruptError on damage. The
 // returned payload is owned by the caller (freshly allocated).
-func (r *Reader) Next() (Frame, error) {
+func (r *Reader) Next() (Frame, error) { return r.next(nil) }
+
+// NextReuse is Next for a caller that is done with each payload before
+// the following call: every payload lands in one buffer the reader
+// keeps, instead of a fresh allocation per frame.
+func (r *Reader) NextReuse() (Frame, error) {
+	fr, err := r.next(r.buf[:0])
+	if err == nil {
+		r.buf = fr.Payload
+	}
+	return fr, err
+}
+
+// next decodes one frame, reading its payload into buf's backing array
+// (a fresh one when buf is nil).
+func (r *Reader) next(buf []byte) (Frame, error) {
 	start := r.off
-	var hdr [5]byte
+	hdr := r.hdr[:]
 	if _, err := io.ReadFull(r.r, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF // clean boundary
@@ -174,23 +194,24 @@ func (r *Reader) Next() (Frame, error) {
 	}
 	// Read the payload in chunks so a lying length field can't force
 	// a large allocation before the stream delivers the bytes.
-	payload := make([]byte, 0, min(int(n), readChunk))
+	payload := buf
+	if payload == nil {
+		payload = make([]byte, 0, min(int(n), readChunk))
+	}
 	for len(payload) < int(n) {
 		step := min(int(n)-len(payload), readChunk)
 		was := len(payload)
-		payload = append(payload, make([]byte, step)...)
+		payload = slices.Grow(payload, step)[:was+step]
 		if _, err := io.ReadFull(r.r, payload[was:]); err != nil {
 			return Frame{}, r.fail(start, err)
 		}
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r.r, tail[:]); err != nil {
+	tail := r.tail[:]
+	if _, err := io.ReadFull(r.r, tail); err != nil {
 		return Frame{}, r.fail(start, err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
+	crc := crc32.Update(crc32.Update(0, crc32.IEEETable, hdr[4:]), crc32.IEEETable, payload)
+	if got, want := binary.LittleEndian.Uint32(tail), crc; got != want {
 		return Frame{}, &CorruptError{Offset: start, Reason: fmt.Sprintf("CRC mismatch: stored %#08x, computed %#08x", got, want)}
 	}
 	r.off += int64(9 + len(payload))
