@@ -33,7 +33,8 @@ race:
 # mechanically enforces the invariants in docs/ARCHITECTURE.md —
 # determinism (no wall clock / global rand / map-order dependence),
 # bit-exact float persistence, fsync-and-checked-error durability,
-# nothing slow under a shard lock, and allocation-free hot paths.
+# nothing slow under a shard lock, allocation-free hot paths, and no
+# internal package that nothing imports.
 lint:
 	$(GO) run ./cmd/rushlint ./...
 

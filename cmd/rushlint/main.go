@@ -1,7 +1,9 @@
 // Command rushlint is the repo's static-analysis multichecker: it runs
 // the internal/lint analyzer suite — detclock, floatexact, durability,
-// locksafe, hotpath — over the given packages (default ./...) and exits
-// non-zero when any invariant is violated.
+// locksafe, hotpath, deadpkg — over the given packages (default ./...)
+// and exits non-zero when any invariant is violated. deadpkg looks for
+// importers among the loaded packages only, so a run over less than the
+// whole module should leave it out with -checks.
 //
 // Usage:
 //

@@ -10,7 +10,7 @@ func TestListPrintsEveryAnalyzer(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("run -list = %d, stderr %q", code, errOut.String())
 	}
-	for _, name := range []string{"detclock", "floatexact", "durability", "locksafe", "hotpath"} {
+	for _, name := range []string{"detclock", "floatexact", "durability", "locksafe", "hotpath", "deadpkg"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}

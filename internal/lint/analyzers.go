@@ -62,7 +62,7 @@ var lockPackages = PathIn(
 
 // Analyzers returns the full rushlint suite in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetClock, FloatExact, Durability, LockSafe, HotPath}
+	return []*Analyzer{DetClock, FloatExact, Durability, LockSafe, HotPath, DeadPkg}
 }
 
 // ByName resolves analyzer names (comma-separated -run style lists use

@@ -29,20 +29,22 @@ var directiveAliases = map[string]string{
 	"globrand":  "detclock",
 }
 
-// directives is the per-package suppression table.
+// directives is the suppression table of every loaded package.
 type directives struct {
 	// byLine maps filename -> line -> analyzer names allowed there.
 	byLine    map[string]map[int]map[string]bool
 	malformed []Diagnostic
 }
 
-func collectDirectives(pkg *Package) *directives {
+func collectDirectives(pkgs []*Package) *directives {
 	d := &directives{byLine: make(map[string]map[int]map[string]bool)}
 	known := knownAnalyzerNames()
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				d.addComment(pkg.Fset, c, known)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					d.addComment(pkg.Fset, c, known)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -8,8 +9,9 @@ import (
 	"testing"
 )
 
-// The fixture harness mirrors x/tools' analysistest: each package under
-// testdata/src seeds violations annotated with
+// The fixture harness mirrors x/tools' analysistest: each fixture tree
+// under testdata/src (one package, or several for a module-level
+// analyzer) seeds violations annotated with
 //
 //	// want `regex`
 //
@@ -40,6 +42,7 @@ func TestFixtures(t *testing.T) {
 		{"durability", Durability},
 		{"locksafe", LockSafe},
 		{"hotpath", HotPath},
+		{"deadpkg", DeadPkg},
 		// Malformed directives are reported by Run itself; the analyzer
 		// choice is arbitrary.
 		{"directives", DetClock},
@@ -53,16 +56,20 @@ func TestFixtures(t *testing.T) {
 
 func runFixture(t *testing.T, dir string, a *Analyzer) {
 	t.Helper()
-	pkgs, err := Load("", "./"+dir)
+	pkgs, err := Load("", "./"+dir+"/...")
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("load %s: got %d packages, want 1", dir, len(pkgs))
+	if len(pkgs) == 0 {
+		t.Fatalf("load %s: no packages", dir)
 	}
 	diags, err := Run(pkgs, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("run %s: %v", dir, err)
+	}
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	wants := parseWants(t, dir)
@@ -70,7 +77,7 @@ func runFixture(t *testing.T, dir string, a *Analyzer) {
 	for _, w := range wants {
 		found := false
 		for i, d := range diags {
-			if matched[i] || filepath.Base(d.Pos.Filename) != w.file || d.Pos.Line != w.line {
+			if matched[i] || d.Pos.Filename != filepath.Join(abs, w.file) || d.Pos.Line != w.line {
 				continue
 			}
 			if w.re.MatchString(d.Message) {
@@ -98,32 +105,37 @@ type want struct {
 
 var wantRe = regexp.MustCompile("want `([^`]+)`")
 
-// parseWants scans the fixture sources for `// want` assertions. A line
-// may carry several backquoted regexes after one want marker.
+// parseWants scans the fixture sources, in every package of the tree,
+// for `// want` assertions; file names are relative to dir. A line may
+// carry several backquoted regexes after one want marker.
 func parseWants(t *testing.T, dir string) []want {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wants []want
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
 				re, err := regexp.Compile(m[1])
 				if err != nil {
-					t.Fatalf("%s:%d: bad want regex %q: %v", e.Name(), i+1, m[1], err)
+					t.Fatalf("%s:%d: bad want regex %q: %v", rel, i+1, m[1], err)
 				}
-				wants = append(wants, want{file: e.Name(), line: i + 1, re: re})
+				wants = append(wants, want{file: rel, line: i + 1, re: re})
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(wants) == 0 {
 		t.Fatalf("fixture %s has no want assertions", dir)

@@ -43,6 +43,10 @@ type Analyzer struct {
 	// name). Nil means every file of an applicable package.
 	AppliesFile func(importPath, baseName string) bool
 	Run         func(*Pass) error
+	// RunModule, when non-nil, is used instead of Run: the analyzer
+	// sees every loaded package at once, for checks that need the
+	// import graph (a per-package pass cannot see who imports it).
+	RunModule func(*ModulePass) error
 }
 
 // Pass carries one analyzer's view of one package.
@@ -54,6 +58,24 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	diags *[]Diagnostic
+}
+
+// ModulePass carries one module-level analyzer's view of every loaded
+// package.
+type ModulePass struct {
+	Analyzer *Analyzer
+	Pkgs     []*Package
+
+	diags *[]Diagnostic
+}
+
+// Reportf records a finding at pos within pkg.
+func (p *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args ...interface{}) {
+	*p.diags = append(*p.diags, Diagnostic{
+		Analyzer: p.Analyzer.Name,
+		Pos:      pkg.Fset.Position(pos),
+		Message:  fmt.Sprintf(format, args...),
+	})
 }
 
 // Diagnostic is one reported finding.
@@ -107,11 +129,17 @@ func (p *Pass) ObjectOf(fun ast.Expr) types.Object {
 // suppression for free; malformed or reason-less directives become
 // diagnostics of their own.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var all []Diagnostic
-	for _, pkg := range pkgs {
-		dirs := collectDirectives(pkg)
-		all = append(all, dirs.malformed...)
-		for _, a := range analyzers {
+	dirs := collectDirectives(pkgs)
+	all := append([]Diagnostic(nil), dirs.malformed...)
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		if a.RunModule != nil {
+			if err := a.RunModule(&ModulePass{Analyzer: a, Pkgs: pkgs, diags: &diags}); err != nil {
+				return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
+			}
+			continue
+		}
+		for _, pkg := range pkgs {
 			if a.Applies != nil && !a.Applies(pkg.Path) {
 				continue
 			}
@@ -128,7 +156,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 					continue
 				}
 			}
-			var diags []Diagnostic
 			pass := &Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
@@ -140,12 +167,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
 			}
-			for _, d := range diags {
-				if dirs.allows(a.Name, d.Pos) {
-					continue
-				}
-				all = append(all, d)
-			}
+		}
+	}
+	for _, d := range diags {
+		if !dirs.allows(d.Analyzer, d.Pos) {
+			all = append(all, d)
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
