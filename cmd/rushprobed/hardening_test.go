@@ -26,7 +26,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newServer(f, ""))
+	srv := httptest.NewServer(newServer(f))
 	defer srv.Close()
 
 	obs := traceObservations(t, "metrics-node", 1, 4)
@@ -75,7 +75,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // serving reads, counts the shed in /metrics, and accepts again once a
 // slot frees.
 func TestObserveShedsAtCapacity(t *testing.T) {
-	s := newServer(newTestFleet(t), "")
+	s := newServer(newTestFleet(t))
 	s.observeSem = make(chan struct{}, 1)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
@@ -148,7 +148,7 @@ func TestSlowClientEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	httpSrv := newHTTPServer(newServer(newTestFleet(t), ""))
+	httpSrv := newHTTPServer(newServer(newTestFleet(t)))
 	httpSrv.ReadHeaderTimeout = 150 * time.Millisecond // production value, compressed for the test
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()

@@ -13,7 +13,7 @@
 //	POST /v1/strategy/{node}  {"strategy":"SNIP-RH"} sets the node's strategy ("" = fleet default)
 //	GET  /v1/strategies       registered strategy names
 //	GET  /v1/healthz          liveness + fleet counters
-//	POST /v1/snapshot         persist learned state to the -snapshot path
+//	POST /v1/snapshot         compact learned state into the -snaplog log
 //	GET  /metrics             Prometheus text exposition: counters, gauges, stage histograms
 //	GET  /debug/traces?n=     most recent request/stage spans from the in-memory trace ring
 //
@@ -34,10 +34,12 @@
 // listener carrying net/http/pprof, /metrics, and /debug/traces, kept
 // off the fleet-facing API port.
 //
-// With -snapshot the daemon restores learned state at startup (if the
-// file exists) and persists it on SIGINT/SIGTERM, so a restarted daemon
-// serves bit-identical schedules. -smoke runs a self-contained
-// end-to-end check over a real loopback listener and exits.
+// With -snaplog the daemon restores learned state from a binary
+// snapshot log at startup (if the log exists), appends dirty-node
+// deltas every -snaplog-interval, and compacts the log on
+// SIGINT/SIGTERM, so a restarted daemon serves bit-identical schedules.
+// -smoke runs a self-contained end-to-end check over a real loopback
+// listener and exits.
 package main
 
 import (
@@ -54,7 +56,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -88,8 +89,7 @@ func run(args []string, out io.Writer) error {
 		bootstrap  = fs.Int("bootstrap-epochs", 3, "epochs of SNIP-AT bootstrap before serving learned plans")
 		shards     = fs.Int("shards", 16, "profile store shard count")
 		mechanism  = fs.String("mechanism", string(rushprobe.SNIPOPT), "default strategy served after bootstrap: any registered name (see GET /v1/strategies)")
-		snapshot   = fs.String("snapshot", "", "JSON snapshot file: restored at startup, written on shutdown and POST /v1/snapshot (with -snaplog set it is import-only)")
-		snaplog    = fs.String("snaplog", "", "binary snapshot log: restored at startup, dirty-node deltas appended every -snaplog-interval, compacted on overflow/shutdown/POST /v1/snapshot; preferred over -snapshot at scale")
+		snaplog    = fs.String("snaplog", "", "binary snapshot log: restored at startup, dirty-node deltas appended every -snaplog-interval, compacted on overflow/shutdown/POST /v1/snapshot")
 		snaplogInt = fs.Duration("snaplog-interval", 30*time.Second, "how often to append dirty-node deltas to -snaplog (0 disables the loop)")
 		route      = fs.String("route", "", "router mode: comma-separated shard base URLs; the daemon serves the same API by consistent-hash scatter-gather over the shards instead of a local fleet")
 		driftDet   = fs.String("drift-detector", "cusum", "streaming drift detector relearning nodes whose rush pattern shifts: cusum, page-hinkley, or none")
@@ -112,8 +112,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *route != "" {
-		if *smoke || *snapshot != "" || *snaplog != "" {
-			return errors.New("-route is exclusive of -smoke, -snapshot, and -snaplog: the router holds no fleet state (each shard persists its own)")
+		if *smoke || *snaplog != "" {
+			return errors.New("-route is exclusive of -smoke and -snaplog: the router holds no fleet state (each shard persists its own)")
 		}
 		return runRouter(*route, *addr, *reqTimeout, *inflight, logger)
 	}
@@ -133,7 +133,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := newServer(f, *snapshot)
+	srv := newServer(f)
 	if *inflight > 0 {
 		srv.observeSem = make(chan struct{}, *inflight)
 	}
@@ -141,33 +141,7 @@ func run(args []string, out io.Writer) error {
 		srv.requestTimeout = *reqTimeout
 	}
 	if *snaplog != "" {
-		st := newSnaplogStore(f, *snaplog, logger)
-		t0 := time.Now()
-		restored, err := st.restore()
-		if err != nil {
-			return err
-		}
-		if restored {
-			srv.snapMu.Lock()
-			srv.snapRestored = true
-			srv.snapRestoreDur = time.Since(t0)
-			srv.snapMu.Unlock()
-		} else if *snapshot != "" {
-			// Migration: no binary log yet, import the JSON snapshot and
-			// let the compaction below re-persist it in log form.
-			if err := srv.restoreSnapshot(); err != nil {
-				return err
-			}
-			logger.Info("imported JSON snapshot into binary log",
-				"from", *snapshot, "to", *snaplog, "nodes", f.Stats().Nodes)
-		}
-		// Establish the on-disk log and the append handle.
-		if err := st.compact(); err != nil {
-			return err
-		}
-		srv.snaplog = st
-	} else if *snapshot != "" {
-		if err := srv.restoreSnapshot(); err != nil {
+		if err := srv.openSnaplog(*snaplog, logger); err != nil {
 			return err
 		}
 	}
@@ -209,7 +183,7 @@ func run(args []string, out io.Writer) error {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr, "mechanism", *mechanism, "snapshot", *snapshot, "snaplog", *snaplog)
+		logger.Info("listening", "addr", *addr, "mechanism", *mechanism, "snaplog", *snaplog)
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -229,11 +203,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		logger.Info("snapshot log compacted", "path", *snaplog, "nodes", f.Stats().Nodes)
-	} else if *snapshot != "" {
-		if err := srv.persistSnapshot(); err != nil {
-			return err
-		}
-		logger.Info("snapshot saved", "path", *snapshot, "nodes", f.Stats().Nodes)
 	}
 	return nil
 }
@@ -282,53 +251,6 @@ func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	return telemetry.NewLogger(w, format, level)
 }
 
-// loadSnapshot restores the fleet from path if the file exists; a
-// missing file is a fresh start, not an error. A file that exists but
-// does not restore (truncated, corrupt, wrong base) is a hard error
-// identifying the path — silently starting fresh would discard every
-// node's learned state behind the operator's back.
-func loadSnapshot(f *rushprobe.Fleet, path string) error {
-	file, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	if err := f.Restore(file); err != nil {
-		return fmt.Errorf("snapshot %s is not restorable (remove or replace it to start fresh): %w", path, err)
-	}
-	return nil
-}
-
-// saveSnapshot persists the fleet atomically and durably: write to a
-// temp file in the same directory, fsync it, then rename over the
-// target. Without the fsync the rename can land on disk before the
-// data does, so a crash shortly after saving could leave a truncated
-// or empty snapshot at the final path — exactly the state loadSnapshot
-// refuses to guess around.
-func saveSnapshot(f *rushprobe.Fleet, path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := f.Snapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // maxObserveBody bounds an observe request body (64 MiB ≈ 700k
 // observations per batch).
 const maxObserveBody = 64 << 20
@@ -365,13 +287,13 @@ func newHTTPServer(h http.Handler) *http.Server {
 
 // server routes the daemon's HTTP API onto a Fleet.
 type server struct {
-	fleet        *rushprobe.Fleet
-	snapshotPath string
-	start        time.Time
-	mux          *http.ServeMux
+	fleet *rushprobe.Fleet
+	start time.Time
+	mux   *http.ServeMux
 
-	// snaplog, when non-nil, is the incremental binary snapshot log;
-	// persistSnapshot then compacts it instead of writing JSON.
+	// snaplog, when non-nil, is the incremental binary snapshot log
+	// that persistSnapshot compacts; nil when the daemon runs without
+	// -snaplog and persists nothing.
 	snaplog *snaplogStore
 
 	// tel is the telemetry bundle shared with the fleet (a detached one
@@ -403,14 +325,13 @@ type server struct {
 	snapSaveDur    time.Duration
 }
 
-func newServer(f *rushprobe.Fleet, snapshotPath string) *server {
+func newServer(f *rushprobe.Fleet) *server {
 	tel := f.Telemetry()
 	if tel == nil {
 		tel = rushprobe.NewTelemetry(rushprobe.TelemetryConfig{})
 	}
 	s := &server{
 		fleet:          f,
-		snapshotPath:   snapshotPath,
 		start:          time.Now(),
 		mux:            http.NewServeMux(),
 		tel:            tel,
@@ -601,7 +522,7 @@ func decodeObserveBody(w http.ResponseWriter, r *http.Request, limit int64) ([]r
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	var obs []rushprobe.Observation
 	if err == nil {
-		obs, err = wire.DecodeObserve(buf.Bytes(), nil)
+		obs, err = wire.DecodeObserve(buf.Bytes())
 	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decode: %v", err)
@@ -893,10 +814,10 @@ type healthResponse struct {
 
 // snapshotHealth is the healthz view of snapshot persistence.
 type snapshotHealth struct {
-	// Configured reports whether the daemon runs with -snapshot at all.
+	// Configured reports whether the daemon runs with -snaplog at all.
 	Configured bool `json:"configured"`
 	// RestoredAtStartup is true when learned state was restored from the
-	// snapshot file when the daemon started.
+	// snapshot log when the daemon started.
 	RestoredAtStartup bool `json:"restoredAtStartup"`
 	// Saves counts snapshot writes since startup (shutdown + POST
 	// /v1/snapshot).
@@ -919,7 +840,7 @@ func (s *server) snapshotHealth() snapshotHealth {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	h := snapshotHealth{
-		Configured:                 s.snapshotPath != "" || s.snaplog != nil,
+		Configured:                 s.snaplog != nil,
 		RestoredAtStartup:          s.snapRestored,
 		Saves:                      s.snapSaves,
 		LastSaveAgeSeconds:         -1,
@@ -1054,36 +975,36 @@ func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, tracesResponse{Total: s.tel.Traces.Total(), Spans: spans})
 }
 
-// restoreSnapshot restores the fleet from the configured snapshot at
-// startup (missing file = fresh start) and records the restore for
-// /v1/healthz.
-func (s *server) restoreSnapshot() error {
-	if _, err := os.Stat(s.snapshotPath); errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+// openSnaplog restores the fleet from the snapshot log at path (a
+// missing log is a fresh start), records the restore for /v1/healthz,
+// and compacts the log to establish the on-disk file and its append
+// handle before attaching it to the server.
+func (s *server) openSnaplog(path string, logger *slog.Logger) error {
+	st := newSnaplogStore(s.fleet, path, logger)
 	t0 := time.Now()
-	if err := loadSnapshot(s.fleet, s.snapshotPath); err != nil {
+	restored, err := st.restore()
+	if err != nil {
 		return err
 	}
-	s.snapMu.Lock()
-	s.snapRestored = true
-	s.snapRestoreDur = time.Since(t0)
-	s.snapMu.Unlock()
+	if restored {
+		s.snapMu.Lock()
+		s.snapRestored = true
+		s.snapRestoreDur = time.Since(t0)
+		s.snapMu.Unlock()
+	}
+	if err := st.compact(); err != nil {
+		return err
+	}
+	s.snaplog = st
 	return nil
 }
 
-// persistSnapshot saves the fleet — a binary-log compaction when
-// -snaplog is configured, the JSON snapshot otherwise — and records
-// the save time and duration for /v1/healthz and /metrics.
+// persistSnapshot compacts the snapshot log and records the save time
+// and duration for /v1/healthz and /metrics. The caller has checked
+// that the daemon runs with -snaplog.
 func (s *server) persistSnapshot() error {
 	t0 := time.Now()
-	var err error
-	if s.snaplog != nil {
-		err = s.snaplog.compact()
-	} else {
-		err = saveSnapshot(s.fleet, s.snapshotPath)
-	}
-	if err != nil {
+	if err := s.snaplog.compact(); err != nil {
 		return err
 	}
 	s.snapMu.Lock()
@@ -1104,19 +1025,15 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if s.snapshotPath == "" && s.snaplog == nil {
-		writeError(w, http.StatusBadRequest, "daemon started without -snapshot or -snaplog")
+	if s.snaplog == nil {
+		writeError(w, http.StatusBadRequest, "daemon started without -snaplog")
 		return
 	}
 	if err := s.persistSnapshot(); err != nil {
 		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
-	path := s.snapshotPath
-	if s.snaplog != nil {
-		path = s.snaplog.path
-	}
-	writeJSON(w, http.StatusOK, snapshotResponse{Nodes: s.fleet.Stats().Nodes, Path: path})
+	writeJSON(w, http.StatusOK, snapshotResponse{Nodes: s.fleet.Stats().Nodes, Path: s.snaplog.path})
 }
 
 // smokeContacts loads the trace CSV (e.g. written by tracegen), or
@@ -1220,9 +1137,9 @@ func smokeTest(srv *server, tracePath string, nodes int, opsURL string, out io.W
 		return fmt.Errorf("smoke: plan cache not shared: %d solves, %d hits (want 1, %d)",
 			hr.PlanSolves, hr.PlanCacheHits, nodes-1)
 	}
-	if hr.Snapshot.Configured != (srv.snapshotPath != "") {
-		return fmt.Errorf("smoke: healthz snapshot block reports configured=%v with snapshot path %q",
-			hr.Snapshot.Configured, srv.snapshotPath)
+	if hr.Snapshot.Configured != (srv.snaplog != nil) {
+		return fmt.Errorf("smoke: healthz snapshot block reports configured=%v, snapshot log configured=%v",
+			hr.Snapshot.Configured, srv.snaplog != nil)
 	}
 	fmt.Fprintf(out, "smoke: healthz ok — %d nodes, %d observations, %d plan solves, %d cache hits\n",
 		hr.Nodes, hr.Observations, hr.PlanSolves, hr.PlanCacheHits)

@@ -20,6 +20,21 @@ import (
 	"rushprobe/internal/wire"
 )
 
+// newSnaplogServer starts a daemon server over f the way run() does
+// with -snaplog path: restore from the log, then compact it.
+func newSnaplogServer(t *testing.T, f *rushprobe.Fleet, path string) *server {
+	t.Helper()
+	logger, err := newLogger(io.Discard, "text", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(f)
+	if err := s.openSnaplog(path, logger); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func newTestFleet(t *testing.T) *rushprobe.Fleet {
 	t.Helper()
 	f, err := rushprobe.NewFleet(rushprobe.Roadside(rushprobe.WithZetaTarget(24)))
@@ -66,8 +81,9 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 
 // TestEndToEndThousandNodesRestartFromSnapshot is the daemon's
 // acceptance test: ingest tracegen-style traces for 1000 nodes over
-// HTTP, fetch every schedule, snapshot, restart a fresh daemon from the
-// snapshot, and verify it serves byte-identical schedules.
+// HTTP into a daemon backed by a snapshot log, fetch every schedule,
+// snapshot, restart a fresh daemon from the log, and verify it serves
+// byte-identical schedules.
 func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 	const (
 		nodes         = 1000
@@ -75,8 +91,9 @@ func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 		days          = 4
 		batchNodes    = 25 // nodes per observe request
 	)
-	snapPath := filepath.Join(t.TempDir(), "fleet.snap")
-	srv1 := httptest.NewServer(newServer(newTestFleet(t), snapPath))
+	snapPath := filepath.Join(t.TempDir(), "fleet.snaplog")
+	s1 := newSnaplogServer(t, newTestFleet(t), snapPath)
+	srv1 := httptest.NewServer(s1)
 	defer srv1.Close()
 
 	// Generate one trace per distinct seed and fan each out to
@@ -157,17 +174,17 @@ func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 		t.Fatalf("plan cache hits = %d, want >= %d", hr.PlanCacheHits, wantHits)
 	}
 
-	// Snapshot over HTTP, then "restart": a fresh fleet restored from
-	// the file must serve byte-identical schedules.
+	// Snapshot over HTTP, then "restart": a fresh daemon restored from
+	// the log must serve byte-identical schedules.
 	resp = mustPost(t, srv1.URL+"/v1/snapshot", nil)
 	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: HTTP %d: %s", resp.StatusCode, body)
 	}
-	f2 := newTestFleet(t)
-	if err := loadSnapshot(f2, snapPath); err != nil {
-		t.Fatal(err)
+	s2 := newSnaplogServer(t, newTestFleet(t), snapPath)
+	if got := s2.fleet.Stats().Nodes; got != nodes {
+		t.Fatalf("restarted daemon restored %d nodes, want %d", got, nodes)
 	}
-	srv2 := httptest.NewServer(newServer(f2, ""))
+	srv2 := httptest.NewServer(s2)
 	defer srv2.Close()
 	for id, want := range schedules {
 		resp, err := http.Get(srv2.URL + "/v1/schedule/" + id)
@@ -181,7 +198,7 @@ func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 }
 
 func TestColdNodeScheduleNever500s(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestFleet(t), ""))
+	srv := httptest.NewServer(newServer(newTestFleet(t)))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v1/schedule/brand-new-node")
 	if err != nil {
@@ -207,7 +224,7 @@ func TestColdNodeScheduleNever500s(t *testing.T) {
 // empty-body 404: every unrouted path must answer with the API's JSON
 // error payload, not the mux's default text/plain page.
 func TestUnknownRouteReturnsJSONError(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestFleet(t), ""))
+	srv := httptest.NewServer(newServer(newTestFleet(t)))
 	defer srv.Close()
 	for _, path := range []string{"/v1/nodes/n1", "/v1/schedul/n1", "/nope", "/"} {
 		resp, err := http.Get(srv.URL + path)
@@ -237,7 +254,7 @@ func TestUnknownRouteReturnsJSONError(t *testing.T) {
 // registry.
 func TestStrategyEndpoint(t *testing.T) {
 	f := newTestFleet(t)
-	srv := httptest.NewServer(newServer(f, ""))
+	srv := httptest.NewServer(newServer(f))
 	defer srv.Close()
 
 	// Past bootstrap so learned plans are served (default 3 epochs).
@@ -304,7 +321,7 @@ func TestStrategyEndpoint(t *testing.T) {
 }
 
 func TestObserveEndpointValidation(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestFleet(t), ""))
+	srv := httptest.NewServer(newServer(newTestFleet(t)))
 	defer srv.Close()
 	resp := mustPost(t, srv.URL+"/v1/observe", []byte("{not json"))
 	if readBody(t, resp); resp.StatusCode != http.StatusBadRequest {
@@ -320,7 +337,7 @@ func TestObserveEndpointValidation(t *testing.T) {
 }
 
 func TestScheduleRequiresNodeID(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestFleet(t), ""))
+	srv := httptest.NewServer(newServer(newTestFleet(t)))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v1/schedule/")
 	if err != nil {
@@ -332,17 +349,21 @@ func TestScheduleRequiresNodeID(t *testing.T) {
 }
 
 func TestSnapshotEndpointRequiresPath(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestFleet(t), ""))
+	srv := httptest.NewServer(newServer(newTestFleet(t)))
 	defer srv.Close()
 	resp := mustPost(t, srv.URL+"/v1/snapshot", nil)
-	if readBody(t, resp); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("snapshot without -snapshot: HTTP %d, want 400", resp.StatusCode)
+	body := string(readBody(t, resp))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("snapshot without -snaplog: HTTP %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(body, "without -snaplog") || strings.Contains(body, "-snapshot") {
+		t.Fatalf("snapshot without -snaplog: body %s, want an error naming only -snaplog", body)
 	}
 }
 
 func TestProfileEndpoint(t *testing.T) {
 	f := newTestFleet(t)
-	srv := httptest.NewServer(newServer(f, ""))
+	srv := httptest.NewServer(newServer(f))
 	defer srv.Close()
 	f.Observe(traceObservations(t, "n1", 3, 2))
 	resp, err := http.Get(srv.URL + "/v1/profile/n1")
@@ -405,51 +426,62 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestLoadSnapshotSurfacesCorruptFiles: a snapshot file that exists but
+// TestLoadSnapshotSurfacesCorruptFiles: a snapshot log that exists but
 // cannot be restored must be a clear startup error naming the path — a
 // silent fresh start would throw away the whole fleet's learned state.
 // An empty file is the classic crash artifact: pre-fsync, a crash
 // right after the rename could leave exactly that on disk.
 func TestLoadSnapshotSurfacesCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"truncated.json": `{"version":1,"baseFingerprint":"0","nodes":[{"id":"n1","ep`,
-		"garbage.json":   "not json at all\n",
-		"empty.json":     "",
+	valid := filepath.Join(dir, "valid.snaplog")
+	f := newTestFleet(t)
+	f.Observe(traceObservations(t, "n1", 7, 2))
+	newSnaplogServer(t, f, valid)
+	data, err := os.ReadFile(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logger, err := newLogger(io.Discard, "text", "info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"torn-meta.snaplog": data[:5],
+		"garbage.snaplog":   []byte("not a snapshot log at all\n"),
+		"empty.snaplog":     nil,
 	}
 	for name, content := range cases {
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := loadSnapshot(newTestFleet(t), path)
+		err := newServer(newTestFleet(t)).openSnaplog(path, logger)
 		if err == nil {
-			t.Errorf("%s: corrupt snapshot restored silently", name)
+			t.Errorf("%s: corrupt snapshot log restored silently", name)
 			continue
 		}
 		if !strings.Contains(err.Error(), path) {
-			t.Errorf("%s: error %q does not name the snapshot path", name, err)
+			t.Errorf("%s: error %q does not name the snapshot log path", name, err)
 		}
 	}
 	// A missing file stays a fresh start.
-	if err := loadSnapshot(newTestFleet(t), filepath.Join(dir, "absent.json")); err != nil {
-		t.Errorf("missing snapshot must be a fresh start, got %v", err)
+	if s := newSnaplogServer(t, newTestFleet(t), filepath.Join(dir, "absent.snaplog")); s.fleet.Stats().Nodes != 0 {
+		t.Errorf("missing snapshot log must be a fresh start, restored %d nodes", s.fleet.Stats().Nodes)
 	}
 }
 
-// TestSaveLoadSnapshotRoundTrip: saveSnapshot's fsync+rename output
-// must be exactly what loadSnapshot restores.
+// TestSaveLoadSnapshotRoundTrip: a compaction's fsync+rename output
+// must be exactly what a restart restores, and no temp file may linger
+// next to the log.
 func TestSaveLoadSnapshotRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fleet.json")
+	path := filepath.Join(t.TempDir(), "fleet.snaplog")
 	f := newTestFleet(t)
 	f.Observe(traceObservations(t, "n1", 7, 5))
-	if err := saveSnapshot(f, path); err != nil {
+	s := newSnaplogServer(t, f, path)
+	if err := s.persistSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	restored := newTestFleet(t)
-	if err := loadSnapshot(restored, path); err != nil {
-		t.Fatal(err)
-	}
+	restored := newSnaplogServer(t, newTestFleet(t), path).fleet
 	want, err := f.Schedule("n1")
 	if err != nil {
 		t.Fatal(err)
@@ -461,12 +493,11 @@ func TestSaveLoadSnapshotRoundTrip(t *testing.T) {
 	if want.Fingerprint != got.Fingerprint || want.Mechanism != got.Mechanism {
 		t.Fatalf("restored schedule differs: %+v vs %+v", got, want)
 	}
-	// No temp files may linger next to the snapshot.
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 1 {
-		t.Fatalf("snapshot directory has %d entries, want only the snapshot", len(entries))
+		t.Fatalf("snapshot log directory has %d entries, want only the log", len(entries))
 	}
 }

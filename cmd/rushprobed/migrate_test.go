@@ -58,7 +58,7 @@ func (top *migrationTopology) addShard(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	f := newTestFleet(t)
-	srv := newServer(f, "")
+	srv := newServer(f)
 	st := newSnaplogStore(f, filepath.Join(top.dir, name+".snaplog"), logger)
 	if err := st.compact(); err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestRouterHealthzReportsPartialShardCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := httptest.NewServer(newServer(newTestFleet(t), ""))
+	up := httptest.NewServer(newServer(newTestFleet(t)))
 	t.Cleanup(up.Close)
 	down := httptest.NewServer(http.NotFoundHandler())
 	downURL := down.URL

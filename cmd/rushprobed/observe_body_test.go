@@ -31,7 +31,7 @@ func TestObserveBadBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	handlers := map[string]http.Handler{
-		"daemon": newServer(newTestFleet(t), ""),
+		"daemon": newServer(newTestFleet(t)),
 		"router": newRouterServer(shardroute.NewRouter(0, nil), logger),
 	}
 	// The over-limit body is a complete JSON value padded past the limit

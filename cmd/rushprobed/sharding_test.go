@@ -45,7 +45,7 @@ func ingestNodes(t *testing.T, baseURL string, nodes int) []string {
 }
 
 func TestSchedulesBatchEndpoint(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestFleet(t), ""))
+	srv := httptest.NewServer(newServer(newTestFleet(t)))
 	defer srv.Close()
 	ids := ingestNodes(t, srv.URL, 12)
 
@@ -327,7 +327,7 @@ func TestSnapshotEndpointWithSnaplog(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newTestFleet(t)
-	srv := newServer(f, "")
+	srv := newServer(f)
 	st := newSnaplogStore(f, path, logger)
 	if err := st.compact(); err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestHealthzSnapshotPhases(t *testing.T) {
 	if err := sb.compact(); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(fb, "")
+	srv := newServer(fb)
 	srv.snaplog = sb
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -477,7 +477,7 @@ func TestRouterModeEndToEnd(t *testing.T) {
 	for i := range shardFleets {
 		f := newTestFleet(t)
 		shardFleets[i] = f
-		srv := newServer(f, "")
+		srv := newServer(f)
 		st := newSnaplogStore(f, filepath.Join(dir, fmt.Sprintf("shard-%d.snaplog", i)), logger)
 		if err := st.compact(); err != nil {
 			t.Fatal(err)
@@ -582,11 +582,20 @@ func TestRouterModeEndToEnd(t *testing.T) {
 func TestRunRejectsRouteWithFleetFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-route", "http://127.0.0.1:1", "-smoke"},
-		{"-route", "http://127.0.0.1:1", "-snapshot", "x.json"},
 		{"-route", "http://127.0.0.1:1", "-snaplog", "x.snaplog"},
 	} {
 		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "-route is exclusive") {
 			t.Fatalf("run(%v) = %v, want exclusivity error", args, err)
+		}
+	}
+	// -snapshot named the retired JSON snapshot file: an old command
+	// line must stop at flag parsing, not start with an empty fleet.
+	for _, args := range [][]string{
+		{"-snapshot", "x.json"},
+		{"-route", "http://127.0.0.1:1", "-snapshot", "x.json"},
+	} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -snapshot") {
+			t.Fatalf("run(%v) = %v, want an undefined-flag error", args, err)
 		}
 	}
 	if err := run([]string{"-route", "   ,  "}, io.Discard); err == nil || !strings.Contains(err.Error(), "no shards") {

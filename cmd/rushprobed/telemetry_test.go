@@ -36,7 +36,7 @@ func newTelemeteredFleet(t *testing.T, cfg rushprobe.TelemetryConfig) *rushprobe
 // observations in them.
 func TestMetricsExpositionStrict(t *testing.T) {
 	f := newTelemeteredFleet(t, rushprobe.TelemetryConfig{})
-	srv := httptest.NewServer(newServer(f, ""))
+	srv := httptest.NewServer(newServer(f))
 	defer srv.Close()
 
 	obs := traceObservations(t, "tel-node", 2, 4)
@@ -98,7 +98,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 // parent.
 func TestTracesEndpoint(t *testing.T) {
 	f := newTelemeteredFleet(t, rushprobe.TelemetryConfig{})
-	srv := httptest.NewServer(newServer(f, ""))
+	srv := httptest.NewServer(newServer(f))
 	defer srv.Close()
 
 	obs := traceObservations(t, "trace-node", 5, 2)
@@ -147,17 +147,13 @@ func TestTracesEndpoint(t *testing.T) {
 }
 
 // TestHealthzSnapshotBlock covers the snapshot observability surface
-// end to end: a fresh daemon with -snapshot reports configured but not
+// end to end: a fresh daemon with -snaplog reports configured but not
 // restored, a save stamps age/duration and counts, and a restarted
 // daemon reports restoredAtStartup.
 func TestHealthzSnapshotBlock(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "fleet.snap")
+	snapPath := filepath.Join(t.TempDir(), "fleet.snaplog")
 	f := newTestFleet(t)
-	s := newServer(f, snapPath)
-	if err := s.restoreSnapshot(); err != nil { // missing file: fresh start
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s)
+	srv := httptest.NewServer(newSnaplogServer(t, f, snapPath)) // missing log: fresh start
 	defer srv.Close()
 
 	var hr healthResponse
@@ -194,11 +190,7 @@ func TestHealthzSnapshotBlock(t *testing.T) {
 	}
 
 	// "Restart": a fresh server over the same path restores at startup.
-	s2 := newServer(newTestFleet(t), snapPath)
-	if err := s2.restoreSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(s2)
+	srv2 := httptest.NewServer(newSnaplogServer(t, newTestFleet(t), snapPath))
 	defer srv2.Close()
 	resp, err := http.Get(srv2.URL + "/v1/healthz")
 	if err != nil {
@@ -226,7 +218,7 @@ func TestSlowRequestLogged(t *testing.T) {
 	var logBuf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&logBuf, nil))
 	f := newTelemeteredFleet(t, rushprobe.TelemetryConfig{SlowSpan: time.Nanosecond, Logger: logger})
-	srv := httptest.NewServer(newServer(f, ""))
+	srv := httptest.NewServer(newServer(f))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/v1/healthz")
@@ -248,7 +240,7 @@ func TestSlowRequestLogged(t *testing.T) {
 // without WithTelemetry (library embedding, old tests) must still
 // expose the full exposition shape — stage histograms just stay empty.
 func TestUntelemeteredFleetStillServesMetrics(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestFleet(t), ""))
+	srv := httptest.NewServer(newServer(newTestFleet(t)))
 	defer srv.Close()
 	fams, err := scrapeMetrics(srv.URL + "/metrics")
 	if err != nil {

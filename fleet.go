@@ -175,16 +175,6 @@ func (f *Fleet) Memory() FleetMemoryStats { return f.inner.Memory() }
 // the fleet runs untelemetered).
 func (f *Fleet) Telemetry() *Telemetry { return f.inner.Telemetry() }
 
-// Snapshot writes the fleet's learned state as JSON. Snapshot bytes are
-// deterministic (nodes sorted by ID) and float-exact, so a Restore
-// yields bit-identical schedules.
-func (f *Fleet) Snapshot(w io.Writer) error { return f.inner.WriteSnapshot(w) }
-
-// Restore replaces the fleet's learned state with a snapshot written by
-// Snapshot. The snapshot must come from a fleet with the same base
-// deployment (fingerprint-checked).
-func (f *Fleet) Restore(r io.Reader) error { return f.inner.ReadSnapshot(r) }
-
 // SnapshotRecovery reports what a binary restore recovered: node and
 // frame counts, compaction generations seen, and whether a torn tail
 // (crash mid-append) was dropped at TornOffset.
@@ -192,11 +182,10 @@ type SnapshotRecovery = fleet.RecoveryInfo
 
 // SnapshotBinary streams the fleet's learned state as a full binary
 // snapshot log: one meta frame, then every node in deterministic
-// order, CRC-framed (see internal/snaplog). Unlike the JSON Snapshot
-// it never materializes the whole fleet, so peak memory stays flat at
-// million-node scale, and the encoding is several times smaller per
-// node. Restores are float-exact: a restored fleet serves
-// bit-identical schedules.
+// order, CRC-framed (see internal/snaplog). It never materializes the
+// whole fleet, so peak memory stays flat at million-node scale.
+// Snapshot bytes are deterministic and restores are float-exact: a
+// restored fleet serves bit-identical schedules.
 func (f *Fleet) SnapshotBinary(w io.Writer) error { return f.inner.WriteBinarySnapshot(w) }
 
 // SnapshotBinaryDelta appends node frames for every node changed since

@@ -63,14 +63,14 @@ func TestFleetPublicAPI(t *testing.T) {
 		t.Fatalf("profile = %+v, want 2 completed epochs, not bootstrapping", prof)
 	}
 	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
+	if err := f.SnapshotBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	g, err := NewFleet(Roadside(WithZetaTarget(24)), WithShards(4), WithBootstrapEpochs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Restore(&buf); err != nil {
+	if _, err := g.RestoreBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := g.Schedule("node-1")
@@ -194,14 +194,14 @@ func TestFleetSnapshotKeepsStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := f.Snapshot(&buf); err != nil {
+	if err := f.SnapshotBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	g, err := NewFleet(Roadside(), WithBootstrapEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Restore(&buf); err != nil {
+	if _, err := g.RestoreBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s, err := g.Schedule("a")

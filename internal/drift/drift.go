@@ -114,14 +114,6 @@ type Detector interface {
 	RestoreRegisters(*Registers) error
 }
 
-// State is the JSON snapshot's form of Registers: the kind plus a flat
-// map of float-valued registers. encoding/json emits map keys sorted
-// and float64s round-trip exactly, so snapshot bytes are deterministic.
-type State struct {
-	Kind string             `json:"kind"`
-	V    map[string]float64 `json:"v,omitempty"`
-}
-
 // Registers is a detector's state without maps: its kind plus one value
 // per register the kind defines, indexed by the kind's key table. The
 // tables are sorted, so table order is also the order registers take
@@ -171,26 +163,6 @@ func registerKeys(kind string) []string {
 	return nil
 }
 
-// Registers picks the kind's registers out of the map form. Absent
-// keys read as zero and keys the kind does not define are ignored.
-func (s State) Registers() Registers {
-	r := Registers{Kind: s.Kind}
-	for i, k := range registerKeys(s.Kind) {
-		r.V[i] = s.V[k]
-	}
-	return r
-}
-
-// State returns the map form of the registers.
-func (r *Registers) State() State {
-	keys := registerKeys(r.Kind)
-	v := make(map[string]float64, len(keys))
-	for i, k := range keys {
-		v[k] = r.V[i]
-	}
-	return State{Kind: r.Kind, V: v}
-}
-
 // AppendBinary appends the registers in the binary snapshot's layout:
 //
 //	u8  kind length, kind bytes
@@ -225,8 +197,7 @@ func (e *ShortError) Error() string {
 // DecodeRegisters parses one AppendBinary block from the front of p
 // into r and returns its length. Keys must be strictly ascending; keys
 // the block's kind does not define are skipped and registers the block
-// omits read as zero, so the block decodes exactly as its map form
-// would restore. A known kind and known keys decode without
+// omits read as zero. A known kind and known keys decode without
 // allocating.
 func DecodeRegisters(p []byte, r *Registers) (int, error) {
 	if len(p) < 1 {

@@ -1,7 +1,6 @@
 package drift
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -173,11 +172,8 @@ func TestNonFiniteSamplesIgnored(t *testing.T) {
 				t.Fatalf("%s: fired on a non-finite sample", kind)
 			}
 		}
-		after := d.Registers()
-		b, _ := json.Marshal(before.State())
-		a, _ := json.Marshal(after.State())
-		if string(a) != string(b) {
-			t.Fatalf("%s: non-finite sample changed state: %s -> %s", kind, b, a)
+		if after := d.Registers(); after != before {
+			t.Fatalf("%s: non-finite sample changed state: %+v -> %+v", kind, before, after)
 		}
 	}
 }
@@ -200,16 +196,12 @@ func TestRestoreRoundtripPreservesFiringSample(t *testing.T) {
 			half.Observe(x)
 		}
 		regs := half.Registers()
-		data, err := json.Marshal(regs.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st State
-		if err := json.Unmarshal(data, &st); err != nil {
+		var back Registers
+		if _, err := DecodeRegisters(regs.AppendBinary(nil), &back); err != nil {
 			t.Fatal(err)
 		}
 		restored := newDetector(t, kind)
-		if err := restore(restored, st); err != nil {
+		if err := restored.RestoreRegisters(&back); err != nil {
 			t.Fatal(err)
 		}
 		got := firstFire(restored, stream[18:])
@@ -219,25 +211,23 @@ func TestRestoreRoundtripPreservesFiringSample(t *testing.T) {
 	}
 }
 
-// restore restores the map form, as the JSON snapshot does.
-func restore(d Detector, s State) error {
-	r := s.Registers()
-	return d.RestoreRegisters(&r)
-}
-
 func TestRestoreRejectsMismatchedKindAndBadState(t *testing.T) {
 	c := newDetector(t, KindCUSUM)
-	if err := restore(c, State{Kind: KindPageHinkley}); err == nil {
+	if err := c.RestoreRegisters(&Registers{Kind: KindPageHinkley}); err == nil {
 		t.Fatal("expected a kind-mismatch error")
 	}
-	if err := restore(c, State{Kind: KindCUSUM, V: map[string]float64{"n": -3}}); err == nil {
+	negN := Registers{Kind: KindCUSUM}
+	negN.V[cusumN] = -3
+	if err := c.RestoreRegisters(&negN); err == nil {
 		t.Fatal("expected an error for a negative sample count")
 	}
-	if err := restore(c, State{Kind: KindCUSUM, V: map[string]float64{"n": 2, "var": -1}}); err == nil {
+	negVar := Registers{Kind: KindCUSUM}
+	negVar.V[cusumN], negVar.V[cusumVar] = 2, -1
+	if err := c.RestoreRegisters(&negVar); err == nil {
 		t.Fatal("expected an error for a negative variance")
 	}
 	p := newDetector(t, KindPageHinkley)
-	if err := restore(p, State{Kind: KindCUSUM}); err == nil {
+	if err := p.RestoreRegisters(&Registers{Kind: KindCUSUM}); err == nil {
 		t.Fatal("expected a kind-mismatch error")
 	}
 }

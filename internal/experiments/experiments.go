@@ -470,8 +470,8 @@ func runExtShift(p Params) ([]*Table, error) {
 		}
 		return 3
 	}
-	run := func(m sim.Mechanism) (*sim.Result, error) {
-		factory, err := sim.SchedulerFactory(sc, m)
+	run := func(name string) (*sim.Result, error) {
+		factory, err := sim.StrategyFactory(sc, name)
 		if err != nil {
 			return nil, err
 		}
@@ -483,11 +483,11 @@ func runExtShift(p Params) ([]*Table, error) {
 			Shift:        shift,
 		})
 	}
-	static, err := run(sim.MechanismRH)
+	static, err := run(strategy.NameRH)
 	if err != nil {
 		return nil, err
 	}
-	adaptive, err := run(sim.MechanismAdaptiveRH)
+	adaptive, err := run(strategy.NameAdaptiveRH)
 	if err != nil {
 		return nil, err
 	}

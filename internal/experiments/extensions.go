@@ -367,7 +367,7 @@ func runExtRL(p Params) ([]*Table, error) {
 			Seed:        p.Seed,
 		})
 	}
-	rhFactory, err := sim.SchedulerFactory(sc, sim.MechanismRH)
+	rhFactory, err := sim.StrategyFactory(sc, strategy.NameRH)
 	if err != nil {
 		return nil, err
 	}

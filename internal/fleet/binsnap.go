@@ -111,7 +111,7 @@ func (f *Fleet) decodeMetaFrame(p []byte) error {
 }
 
 // appendProfileFrame appends p's node frame payload to dst, written
-// straight from the live profile: no NodeState, no drift-register maps,
+// straight from the live profile: no drift-register maps,
 // no learner state copy, and no allocation once dst has grown to a
 // frame's size. Callers hold p's shard lock.
 func appendProfileFrame(dst []byte, p *profile) ([]byte, error) {
@@ -447,8 +447,8 @@ func (rs *nodeRecords) profiles() ([]*profile, error) {
 
 // WriteBinarySnapshot streams a full binary snapshot of the fleet —
 // one meta frame, then every node, shard by shard in sorted-ID order —
-// and marks every written node clean for the delta log. Unlike the
-// JSON path it never materializes the whole fleet: peak extra memory
+// and marks every written node clean for the delta log. It never
+// materializes the whole fleet: peak extra memory
 // is one shard's ID list plus a single frame buffer, which is what
 // keeps a million-node save flat. On error the output is unusable and
 // some dirty flags may already be cleared; the caller must discard the
@@ -667,7 +667,7 @@ func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 	}
 	// The log is the source of truth these nodes came from: they are
 	// admitted clean, until the next mutation.
-	if err := f.replaceProfiles(ps, false); err != nil {
+	if err := f.replaceProfiles(ps); err != nil {
 		return nil, err
 	}
 	info.Nodes = len(ps)

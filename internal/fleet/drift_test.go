@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
 	"rushprobe/internal/drift"
@@ -134,12 +133,8 @@ func TestDriftStateSurvivesSnapshotRestore(t *testing.T) {
 	cont.Observe(first)
 	cut.Observe(first)
 
-	var buf bytes.Buffer
-	if err := cut.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	restored := newTestFleet(t, cfg)
-	if err := restored.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := restored.ReadBinarySnapshot(bytes.NewReader(binarySnapshotBytes(t, cut))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,29 +157,20 @@ func TestDriftStateSurvivesSnapshotRestore(t *testing.T) {
 		t.Fatalf("restored profile diverged:\ncontinuous: %+v\nrestored:   %+v", pc, pr)
 	}
 
-	var b1, b2 bytes.Buffer
-	if err := cont.WriteSnapshot(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.WriteSnapshot(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(binarySnapshotBytes(t, cont), binarySnapshotBytes(t, restored)) {
 		t.Fatal("post-detection snapshots differ between continuous and restored fleets")
 	}
 }
 
-// A detector-less fleet must keep emitting snapshots without any drift
-// block, so pre-drift snapshot bytes are unchanged by this feature.
+// A detector-less fleet must keep emitting node frames without any
+// drift block (drift flag 0), so pre-drift snapshot bytes are unchanged
+// by this feature.
 func TestSnapshotWithoutDetectorHasNoDriftBlock(t *testing.T) {
 	f := newTestFleet(t, Config{})
 	f.Observe(syntheticDays("n1", 6, 6, 2))
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"drift"`) {
-		t.Fatal("detector-less snapshot contains a drift block")
+	_, nodes := splitLog(t, binarySnapshotBytes(t, f))
+	if len(nodes) != 1 || nodes[0].flag != 0 {
+		t.Fatalf("detector-less snapshot carries a drift block: %+v", nodes)
 	}
 }
 
@@ -200,13 +186,10 @@ func TestDriftSnapshotCompatibility(t *testing.T) {
 	if p, _ := src.Profile(node); p.DriftEvents < 1 {
 		t.Fatal("source fleet never fired")
 	}
-	var buf bytes.Buffer
-	if err := src.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	log := binarySnapshotBytes(t, src)
 
 	plain := newTestFleet(t, Config{})
-	if err := plain.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := plain.ReadBinarySnapshot(bytes.NewReader(log)); err != nil {
 		t.Fatal(err)
 	}
 	p, err := plain.Profile(node)
@@ -221,16 +204,12 @@ func TestDriftSnapshotCompatibility(t *testing.T) {
 	}
 
 	other := newTestFleet(t, Config{DriftDetector: drift.KindPageHinkley})
-	if err := other.ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+	if _, err := other.ReadBinarySnapshot(bytes.NewReader(log)); err == nil {
 		t.Fatal("restoring cusum registers into a page-hinkley fleet must fail")
 	}
 
-	var plainBuf bytes.Buffer
-	if err := plain.WriteSnapshot(&plainBuf); err != nil {
-		t.Fatal(err)
-	}
 	withDet := newTestFleet(t, Config{DriftDetector: drift.KindCUSUM})
-	if err := withDet.ReadSnapshot(bytes.NewReader(plainBuf.Bytes())); err != nil {
+	if _, err := withDet.ReadBinarySnapshot(bytes.NewReader(binarySnapshotBytes(t, plain))); err != nil {
 		t.Fatalf("detector-less snapshot must restore into a detector fleet: %v", err)
 	}
 }

@@ -9,9 +9,10 @@
 // node at fleet scale. Each node's learned state quantizes to a
 // scenario (package scenario), whose Fingerprint keys a shared plan
 // cache: nodes whose learned profiles round to the same scenario share
-// one optimizer solve instead of re-optimizing per node. A JSON
-// Snapshot/Restore path lets a restarted daemon resume learned state
-// and serve bit-identical schedules.
+// one optimizer solve instead of re-optimizing per node. A binary
+// snapshot log (WriteBinarySnapshot/ReadBinarySnapshot) lets a
+// restarted daemon resume learned state and serve bit-identical
+// schedules.
 //
 // All operations are deterministic given the same observation batches
 // in the same order, which is what makes snapshot/restore and
@@ -690,7 +691,7 @@ func (f *Fleet) schedule(node string) (*Schedule, string, error) {
 	}
 	// Re-take the lock to pin the plan on the node, but only if the
 	// profile still quantizes to the scenario the plan was solved for —
-	// a concurrent Observe, AdvanceEpoch, SetStrategy, or Restore may
+	// a concurrent Observe, AdvanceEpoch, SetStrategy, or restore may
 	// have moved the node on while the solve ran, and pinning a plan
 	// for the superseded state would serve it stale until the next
 	// invalidation. The plan we computed is still correct for the

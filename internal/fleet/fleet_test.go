@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rushprobe/internal/learn"
 	"rushprobe/internal/scenario"
 	"rushprobe/internal/strategy"
 )
@@ -265,8 +267,7 @@ func TestObserveRejectsNaNAndNegativeUploads(t *testing.T) {
 	if prof.Observations != 2 {
 		t.Fatalf("accepted %d observations, want the 2 legitimate ones", prof.Observations)
 	}
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
+	if err := f.WriteBinarySnapshot(io.Discard); err != nil {
 		t.Fatalf("snapshot must survive NaN uploads: %v", err)
 	}
 }
@@ -283,8 +284,7 @@ func TestHugeObservationsCannotPoisonSnapshots(t *testing.T) {
 		{Node: "n", Time: 3, Length: 2, Uploaded: 1e308},
 		{Node: "n", Time: 4, Length: 2}, // one legitimate observation
 	})
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
+	if err := f.WriteBinarySnapshot(io.Discard); err != nil {
 		t.Fatalf("snapshot must survive hostile observations: %v", err)
 	}
 	prof, err := f.Profile("n")
@@ -311,17 +311,21 @@ func TestScheduleReadsDoNotCreateState(t *testing.T) {
 }
 
 // TestRestoreRejectsRushSlotMismatch: RushSlots is fleet config, not
-// base-scenario state, so Restore must check it explicitly.
+// base-scenario state, so restore must check it explicitly: in the meta
+// frame, and in each node's learner record at the admission gate.
 func TestRestoreRejectsRushSlotMismatch(t *testing.T) {
 	f := newTestFleet(t, Config{RushSlots: 2})
 	f.Observe(syntheticDays("n", 2, 8, 2.0))
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
+	log := binarySnapshotBytes(t, f)
 	other := newTestFleet(t, Config{}) // defaults to 4 rush slots
-	if err := other.ReadSnapshot(&buf); err == nil {
+	if _, err := other.ReadBinarySnapshot(bytes.NewReader(log)); err == nil {
 		t.Fatal("snapshot with a different RushSlots configuration must be rejected")
+	}
+	// A meta frame that matches cannot vouch for the records after it.
+	_, nodes := splitLog(t, log)
+	_, err := other.ReadBinarySnapshot(bytes.NewReader(logFrames(t, other.appendMetaFrame(nil), nodes[0].encode())))
+	if err == nil || !strings.Contains(err.Error(), "ranks 2 rush slots") {
+		t.Fatalf("node record ranking 2 rush slots: err = %v, want the gate's rush-slot error", err)
 	}
 }
 
@@ -393,12 +397,8 @@ func TestSnapshotRestoreServesIdenticalSchedules(t *testing.T) {
 		want[n] = s
 	}
 
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	g := newTestFleet(t, Config{})
-	if err := g.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := g.ReadBinarySnapshot(bytes.NewReader(binarySnapshotBytes(t, f))); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range nodes {
@@ -426,7 +426,7 @@ func TestSnapshotRestoreServesIdenticalSchedules(t *testing.T) {
 }
 
 func TestSnapshotIsDeterministic(t *testing.T) {
-	build := func() *bytes.Buffer {
+	build := func() []byte {
 		f, err := New(Config{Base: scenario.Roadside()})
 		if err != nil {
 			t.Fatal(err)
@@ -434,13 +434,9 @@ func TestSnapshotIsDeterministic(t *testing.T) {
 		for _, n := range []string{"zeta", "alpha", "mid"} {
 			f.Observe(syntheticDays(n, 2, 8, 2.0))
 		}
-		var buf bytes.Buffer
-		if err := f.WriteSnapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return &buf
+		return binarySnapshotBytes(t, f)
 	}
-	if !bytes.Equal(build().Bytes(), build().Bytes()) {
+	if !bytes.Equal(build(), build()) {
 		t.Fatal("snapshot bytes are not deterministic")
 	}
 }
@@ -448,33 +444,43 @@ func TestSnapshotIsDeterministic(t *testing.T) {
 func TestRestoreRejectsMismatchedBase(t *testing.T) {
 	f := newTestFleet(t, Config{})
 	f.Observe(syntheticDays("n", 2, 8, 2.0))
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	other := newTestFleet(t, Config{Base: scenario.Roadside(scenario.WithZetaTarget(48))})
-	if err := other.ReadSnapshot(&buf); err == nil {
+	if _, err := other.ReadBinarySnapshot(bytes.NewReader(binarySnapshotBytes(t, f))); err == nil {
 		t.Fatal("restore into a fleet with a different base scenario must fail")
 	}
 }
 
+// TestRestoreRejectsCorruptSnapshots: a log with another format
+// version, a node with an empty ID, or a learner over a different slot
+// count is rejected, each with its own error.
 func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 	f := newTestFleet(t, Config{})
-	base := f.Snapshot()
-	bad := *base
-	bad.Version = 99
-	if err := f.Restore(&bad); err == nil {
-		t.Error("wrong version accepted")
+	f.Observe(syntheticDays("n", 2, 8, 2.0))
+	meta, nodes := splitLog(t, binarySnapshotBytes(t, f))
+	version := bytes.Clone(meta)
+	version[0] = 99
+	emptyID := nodes[0].clone()
+	emptyID.rehead("", "")
+	slots := nodes[0].clone()
+	learner, err := learn.NewRushHourLearner(12, f.cfg.RushSlots)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad2 := *base
-	bad2.Nodes = append([]NodeState(nil), NodeState{ID: ""})
-	if err := f.Restore(&bad2); err == nil {
-		t.Error("empty node ID accepted")
+	if slots.record, err = learn.AppendRecord(nil, learn.NewContactLength(2), learn.NewUploadAmount(1024), learner); err != nil {
+		t.Fatal(err)
 	}
-	bad3 := *base
-	bad3.Nodes = append([]NodeState(nil), NodeState{ID: "x"})
-	if err := f.Restore(&bad3); err == nil {
-		t.Error("mismatched learner slot count accepted")
+	for _, tc := range []struct {
+		name, want string
+		log        []byte
+	}{
+		{"wrong version", "binary snapshot version 99", logFrames(t, version, nodes[0].encode())},
+		{"empty node ID", "empty ID", logFrames(t, meta, emptyID.encode())},
+		{"mismatched learner slot count", "learner has 12 slots", logFrames(t, meta, slots.encode())},
+	} {
+		_, err := newTestFleet(t, Config{}).ReadBinarySnapshot(bytes.NewReader(tc.log))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -542,8 +548,8 @@ func TestConfigValidation(t *testing.T) {
 // TestRestoreRejectsUnregisteredStrategy pins graceful behavior when a
 // snapshot names a strategy this binary does not register (say, a
 // custom scheme compiled into the daemon that wrote the snapshot):
-// Restore must fail with a clear error, never panic or leave a node
-// whose serve-time lookup would fail — and because Restore is
+// restore must fail with a clear error, never panic or leave a node
+// whose serve-time lookup would fail — and because restore is
 // all-or-nothing, the fleet's previous state must keep serving.
 func TestRestoreRejectsUnregisteredStrategy(t *testing.T) {
 	f := newTestFleet(t, Config{})
@@ -551,19 +557,12 @@ func TestRestoreRejectsUnregisteredStrategy(t *testing.T) {
 	if _, err := f.SetStrategy("keeper", MechanismRH); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	meta, nodes := splitLog(t, binarySnapshotBytes(t, f))
+	if len(nodes) != 1 || !bytes.Contains(nodes[0].head, []byte(MechanismRH)) {
+		t.Fatalf("snapshot did not capture the strategy override: %+v", nodes)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Nodes) != 1 || snap.Nodes[0].Strategy != MechanismRH {
-		t.Fatalf("snapshot did not capture the strategy override: %+v", snap.Nodes)
-	}
-	snap.Nodes[0].Strategy = "EXT-SCHEME-NOT-COMPILED-IN"
-	err := f.Restore(&snap)
+	nodes[0].rehead(nodes[0].id, "EXT-SCHEME-NOT-COMPILED-IN")
+	_, err := f.ReadBinarySnapshot(bytes.NewReader(logFrames(t, meta, nodes[0].encode())))
 	if err == nil {
 		t.Fatal("restore accepted a snapshot naming an unregistered strategy")
 	}

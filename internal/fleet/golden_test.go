@@ -324,6 +324,27 @@ func logFrames(t *testing.T, meta []byte, nodes ...[]byte) []byte {
 	return buf.Bytes()
 }
 
+// splitLog splits a single-generation log into its meta payload and its
+// node frames, in log order.
+func splitLog(t *testing.T, log []byte) (meta []byte, nodes []nodeParts) {
+	t.Helper()
+	r := snaplog.NewReader(bytes.NewReader(log))
+	for {
+		fr, err := r.Next()
+		if err == io.EOF {
+			return meta, nodes
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Type == snaplog.FrameMeta {
+			meta = fr.Payload
+			continue
+		}
+		nodes = append(nodes, splitNode(t, fr.Payload))
+	}
+}
+
 func goldenMutations(t *testing.T) []goldenCase {
 	src := newTestFleet(t, Config{DriftDetector: drift.KindCUSUM})
 	src.Observe(patternDays("drifted", 0, 12, 6, 2, roadRush))
@@ -334,20 +355,10 @@ func goldenMutations(t *testing.T) []goldenCase {
 		t.Fatal(err)
 	}
 	base := binarySnapshotBytes(t, src)
-	r := snaplog.NewReader(bytes.NewReader(base))
-	var meta []byte
+	meta, nodes := splitLog(t, base)
 	var order []string
 	parts := map[string]nodeParts{}
-	for {
-		fr, err := r.Next()
-		if err != nil {
-			break
-		}
-		if fr.Type == snaplog.FrameMeta {
-			meta = fr.Payload
-			continue
-		}
-		n := splitNode(t, fr.Payload)
+	for _, n := range nodes {
 		order = append(order, n.id)
 		parts[n.id] = n
 	}

@@ -143,7 +143,7 @@ func (f *Fleet) ImportFrames(data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Admit. Unlike Restore (whole-fleet replace, counters Stored), an
+	// Admit. Unlike ReadBinarySnapshot (whole-fleet replace, counters Stored), an
 	// import lands on a live fleet, so the counters adjust by deltas —
 	// subtracting any profile the import overwrites.
 	for _, p := range built {

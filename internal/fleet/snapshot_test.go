@@ -2,76 +2,24 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
-	"math"
 	"testing"
 )
 
-// TestSnapshotJSONFloatRoundTrip pins the exactness contract behind the
-// //rushlint:allow floatexact annotation on WriteSnapshot: the JSON
-// snapshot keeps its textual wire format because Go's encoder emits the
-// shortest representation that round-trips each float64 bit-exactly.
-// If that guarantee ever regressed (a custom marshaler, a %f somewhere,
-// an encoder swap), restored EWMAs would drift from the originals and
-// the parallel==serial determinism pins would fail far from the cause —
-// so the worst-case values are asserted here, at the encoder.
-func TestSnapshotJSONFloatRoundTrip(t *testing.T) {
-	values := []float64{
-		0.1,                         // classic non-terminating binary fraction
-		1.0 / 3.0,                   // needs all 17 significant digits
-		math.Pi,                     //
-		math.MaxFloat64,             // largest finite
-		math.SmallestNonzeroFloat64, // 5e-324 denormal
-		5e-324 * 3,                  // denormal, not a power of two
-		1e300, 1e-300,               // extreme exponents
-		math.Nextafter(1, 2),   // 1 + one ulp
-		math.Nextafter(0.1, 1), // 0.1 + one ulp: adjacent values must stay distinct
-		-123456.789012345678,   //
-		0,
-	}
-	for _, v := range values {
-		// LenSum is a float64 field on the snapshot wire format; any
-		// field would do — the contract under test is the encoder's.
-		in := NodeDriftState{Contacts: 1, LenSum: v}
-		data, err := json.Marshal(in)
-		if err != nil {
-			t.Fatalf("marshal %v: %v", v, err)
-		}
-		var out NodeDriftState
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatalf("unmarshal %s: %v", data, err)
-		}
-		if math.Float64bits(out.LenSum) != math.Float64bits(in.LenSum) {
-			t.Errorf("float64 %v did not round-trip through the snapshot JSON: got %v (bits %016x, want %016x)",
-				in.LenSum, out.LenSum, math.Float64bits(out.LenSum), math.Float64bits(in.LenSum))
-		}
-	}
-}
-
-// TestSnapshotDecodeReencodeIsByteIdentical drives the same contract
-// end to end: a real fleet's snapshot, decoded and re-encoded, must
-// reproduce the original bytes — which can only hold if every float
-// survived the text round trip exactly (and field order and formatting
-// stayed canonical).
+// TestSnapshotDecodeReencodeIsByteIdentical pins bit-exact float
+// persistence end to end: a real fleet's snapshot, restored and
+// re-encoded, must reproduce the original bytes, which can only hold if
+// every float survived the round trip exactly.
 func TestSnapshotDecodeReencodeIsByteIdentical(t *testing.T) {
 	f := newTestFleet(t, Config{})
 	f.Observe(syntheticDays("n1", 4, 10, 2.0))
 	f.Observe(syntheticDays("n2", 6, 14, 3.5))
 
-	var orig bytes.Buffer
-	if err := f.WriteSnapshot(&orig); err != nil {
+	orig := binarySnapshotBytes(t, f)
+	g := newTestFleet(t, Config{})
+	if _, err := g.ReadBinarySnapshot(bytes.NewReader(orig)); err != nil {
 		t.Fatal(err)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(orig.Bytes(), &s); err != nil {
-		t.Fatal(err)
-	}
-	again, err := json.Marshal(&s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// WriteSnapshot uses an Encoder, which appends a newline.
-	if got, want := string(again)+"\n", orig.String(); got != want {
-		t.Errorf("snapshot decode+re-encode is not byte-identical:\n got: %s\nwant: %s", got, want)
+	if again := binarySnapshotBytes(t, g); !bytes.Equal(again, orig) {
+		t.Errorf("snapshot decode+re-encode is not byte-identical:\n got: %x\nwant: %x", again, orig)
 	}
 }

@@ -38,11 +38,7 @@ func TestTelemetryRecordsStageHistogramsAndSpans(t *testing.T) {
 	if _, err := f.ScheduleContext(ctx, "n1"); err != nil { // re-derive after epoch
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := f.ReadBinarySnapshot(bytes.NewReader(binarySnapshotBytes(t, f))); err != nil {
 		t.Fatal(err)
 	}
 

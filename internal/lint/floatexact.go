@@ -12,9 +12,7 @@ import (
 // stores math.Float64bits / binary encodings instead.
 //
 // fmt.Errorf is exempt — error strings are diagnostics, not persisted
-// state. The JSON snapshot encoder is the one annotated exception: Go's
-// encoder emits shortest round-trip representations, and the exactness
-// is pinned by a regression test.
+// state.
 var FloatExact = &Analyzer{
 	Name:        "floatexact",
 	Doc:         "forbid lossy float formatting (fmt verbs, FormatFloat, JSON marshal) in persistence code",

@@ -1,83 +1,19 @@
 package sim
 
 import (
-	"fmt"
-
 	"rushprobe/internal/core"
 	"rushprobe/internal/scenario"
 	"rushprobe/internal/strategy"
 )
 
-// Mechanism selects one of the paper's scheduling mechanisms. It is the
-// simulator's legacy enum for the built-in schemes; the general seam is
-// the strategy registry (package strategy), which SchedulerFactory and
-// StrategyFactory resolve through.
-type Mechanism int
-
-// The scheduling mechanisms under evaluation.
-const (
-	MechanismAT Mechanism = iota + 1
-	MechanismOPT
-	MechanismRH
-	MechanismAdaptiveRH
-)
-
-// String returns the paper's name for the mechanism, which is also its
-// canonical strategy-registry name.
-func (m Mechanism) String() string {
-	switch m {
-	case MechanismAT:
-		return strategy.NameAT
-	case MechanismOPT:
-		return strategy.NameOPT
-	case MechanismRH:
-		return strategy.NameRH
-	case MechanismAdaptiveRH:
-		return strategy.NameAdaptiveRH
-	default:
-		return fmt.Sprintf("mechanism(%d)", int(m))
-	}
-}
-
-// ParseMechanism converts a name ("SNIP-AT", "at", "rh", ...) to a
-// Mechanism. Names resolve through the strategy registry, so every
-// registered alias works; registered strategies outside the paper's
-// four mechanisms are not representable as a Mechanism and yield an
-// error (use StrategyFactory for those).
-func ParseMechanism(name string) (Mechanism, error) {
-	s, err := strategy.Lookup(name)
-	if err != nil {
-		return 0, fmt.Errorf("sim: unknown mechanism %q", name)
-	}
-	switch s.Name() {
-	case strategy.NameAT:
-		return MechanismAT, nil
-	case strategy.NameOPT:
-		return MechanismOPT, nil
-	case strategy.NameRH:
-		return MechanismRH, nil
-	case strategy.NameAdaptiveRH:
-		return MechanismAdaptiveRH, nil
-	default:
-		return 0, fmt.Errorf("sim: strategy %q is not one of the paper's mechanisms", name)
-	}
-}
-
-// SchedulerFactory returns a factory producing fresh schedulers of the
-// given mechanism for the scenario, resolved through the strategy
-// registry. SNIP-AT's duty and SNIP-OPT's plan are computed offline
-// from the scenario's analytical model, exactly as the paper
-// parameterizes them for its simulations (§VII.A.2); SNIP-RH gets the
-// engineered rush-hour mask, the scenario budget, and priors derived
-// from the scenario (it learns the rest online).
-func SchedulerFactory(sc *scenario.Scenario, m Mechanism) (func() (core.Scheduler, error), error) {
-	return StrategyFactory(sc, m.String())
-}
-
 // StrategyFactory returns a scheduler factory for any registered
-// strategy name (or alias), parameterized for the scenario. This is the
-// general entry point: every scheme plugged into the strategy registry
-// is simulatable through it.
+// strategy name (or alias), parameterized for the scenario: every
+// scheme plugged into the strategy registry is simulatable through it.
+// For the paper's schemes, SNIP-AT's duty and SNIP-OPT's plan are
+// computed offline from the scenario's analytical model, exactly as the
+// paper parameterizes them for its simulations (§VII.A.2); SNIP-RH gets
+// the engineered rush-hour mask, the scenario budget, and priors
+// derived from the scenario (it learns the rest online).
 func StrategyFactory(sc *scenario.Scenario, name string) (func() (core.Scheduler, error), error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err

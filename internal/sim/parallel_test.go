@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rushprobe/internal/scenario"
+	"rushprobe/internal/strategy"
 )
 
 // Parallel replications must be byte-identical to serial ones: each
@@ -12,7 +13,7 @@ import (
 // happens in replication order.
 func TestRunReplicationsParallelMatchesSerial(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	cfg := testConfig(t, sc, MechanismRH, 2)
+	cfg := testConfig(t, sc, strategy.NameRH, 2)
 
 	cfg.Parallelism = 1
 	serial, err := RunReplications(cfg, 5)
@@ -35,7 +36,7 @@ func TestRunReplicationsParallelMatchesSerial(t *testing.T) {
 // replication CI collapses to zero width).
 func TestRunReplicationsSeedsDiffer(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	cfg := testConfig(t, sc, MechanismRH, 2)
+	cfg := testConfig(t, sc, strategy.NameRH, 2)
 	rep, err := RunReplications(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func BenchmarkReplicationsSerial(b *testing.B) {
 
 func benchmarkReplications(b *testing.B, parallelism int) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	factory, err := SchedulerFactory(sc, MechanismRH)
+	factory, err := StrategyFactory(sc, strategy.NameRH)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,14 +6,15 @@ import (
 
 	"rushprobe/internal/scenario"
 	"rushprobe/internal/simtime"
+	"rushprobe/internal/strategy"
 )
 
-// testConfig returns a short roadside run for the given mechanism.
-func testConfig(t *testing.T, sc *scenario.Scenario, m Mechanism, epochs int) Config {
+// testConfig returns a short roadside run for the named strategy.
+func testConfig(t *testing.T, sc *scenario.Scenario, name string, epochs int) Config {
 	t.Helper()
-	factory, err := SchedulerFactory(sc, m)
+	factory, err := StrategyFactory(sc, name)
 	if err != nil {
-		t.Fatalf("SchedulerFactory(%v): %v", m, err)
+		t.Fatalf("StrategyFactory(%q): %v", name, err)
 	}
 	return Config{
 		Scenario:     sc,
@@ -25,7 +26,7 @@ func testConfig(t *testing.T, sc *scenario.Scenario, m Mechanism, epochs int) Co
 
 func TestConfigValidation(t *testing.T) {
 	sc := scenario.Roadside()
-	factory, err := SchedulerFactory(sc, MechanismAT)
+	factory, err := StrategyFactory(sc, strategy.NameAT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestRunIsDeterministic(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	cfg := testConfig(t, sc, MechanismRH, 3)
+	cfg := testConfig(t, sc, strategy.NameRH, 3)
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestRunIsDeterministic(t *testing.T) {
 
 func TestRunDifferentSeedsDiffer(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	cfg := testConfig(t, sc, MechanismAT, 2)
+	cfg := testConfig(t, sc, strategy.NameAT, 2)
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +89,7 @@ func TestRunDifferentSeedsDiffer(t *testing.T) {
 func TestATSimulationMatchesAnalysisTightBudget(t *testing.T) {
 	// Fig 7 anchor: AT at d = 0.001 probes ~8.8 s/day and spends ~86.4 s.
 	sc := scenario.Roadside(scenario.WithZetaTarget(24)) // budget Tepoch/1000
-	res, err := Run(testConfig(t, sc, MechanismAT, 14))
+	res, err := Run(testConfig(t, sc, strategy.NameAT, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestRHSimulationMeetsFeasibleTarget(t *testing.T) {
 	// Fig 7 anchor: RH meets a 16 s target under the tight budget with
 	// rho ~ 3.
 	sc := scenario.Roadside(scenario.WithZetaTarget(16))
-	res, err := Run(testConfig(t, sc, MechanismRH, 14))
+	res, err := Run(testConfig(t, sc, strategy.NameRH, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRHSimulationMeetsFeasibleTarget(t *testing.T) {
 func TestRHBudgetCapTightBudget(t *testing.T) {
 	// At target 56 under Tepoch/1000, RH is budget-capped at ~28.8 s.
 	sc := scenario.Roadside(scenario.WithZetaTarget(56))
-	res, err := Run(testConfig(t, sc, MechanismRH, 14))
+	res, err := Run(testConfig(t, sc, strategy.NameRH, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRHCapacityCeilingLooseBudget(t *testing.T) {
 	// Fig 8 anchor: at target 56 under Tepoch/100 RH cannot exceed its
 	// rush-hour ceiling (~48 s).
 	sc := scenario.Roadside(scenario.WithZetaTarget(56), scenario.WithBudgetFraction(1.0/100))
-	res, err := Run(testConfig(t, sc, MechanismRH, 14))
+	res, err := Run(testConfig(t, sc, strategy.NameRH, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestRHCapacityCeilingLooseBudget(t *testing.T) {
 func TestOPTSimulationTracksPlan(t *testing.T) {
 	// Fig 8 anchor: OPT meets 24 s with ~72 s of probing energy.
 	sc := scenario.Roadside(scenario.WithZetaTarget(24), scenario.WithBudgetFraction(1.0/100))
-	res, err := Run(testConfig(t, sc, MechanismOPT, 14))
+	res, err := Run(testConfig(t, sc, strategy.NameOPT, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +186,11 @@ func TestMechanismOrderingMatchesPaper(t *testing.T) {
 	// The paper's core comparative claim under the tight budget: RH
 	// probes much more than AT at much lower rho.
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	at, err := Run(testConfig(t, sc, MechanismAT, 14))
+	at, err := Run(testConfig(t, sc, strategy.NameAT, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := Run(testConfig(t, sc, MechanismRH, 14))
+	rh, err := Run(testConfig(t, sc, strategy.NameRH, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestMechanismOrderingMatchesPaper(t *testing.T) {
 
 func TestEpochAccounting(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	res, err := Run(testConfig(t, sc, MechanismAT, 5))
+	res, err := Run(testConfig(t, sc, strategy.NameAT, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestEpochRhoHelper(t *testing.T) {
 
 func TestWarmupExcluded(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	cfg := testConfig(t, sc, MechanismRH, 6)
+	cfg := testConfig(t, sc, strategy.NameRH, 6)
 	cfg.WarmupEpochs = 3
 	res, err := Run(cfg)
 	if err != nil {
@@ -259,11 +260,11 @@ func TestWarmupExcluded(t *testing.T) {
 func TestBeaconLossReducesProbes(t *testing.T) {
 	clean := scenario.Roadside(scenario.WithZetaTarget(24))
 	lossy := scenario.Roadside(scenario.WithZetaTarget(24), scenario.WithBeaconLoss(0.5))
-	a, err := Run(testConfig(t, clean, MechanismAT, 10))
+	a, err := Run(testConfig(t, clean, strategy.NameAT, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testConfig(t, lossy, MechanismAT, 10))
+	b, err := Run(testConfig(t, lossy, strategy.NameAT, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestUploadedDataBounded(t *testing.T) {
 	// Data uploaded per epoch cannot exceed data generated per epoch
 	// (plus one initial buffer's worth).
 	sc := scenario.Roadside(scenario.WithZetaTarget(16))
-	res, err := Run(testConfig(t, sc, MechanismRH, 14))
+	res, err := Run(testConfig(t, sc, strategy.NameRH, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestUploadedDataBounded(t *testing.T) {
 
 func TestRunReplications(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(24))
-	cfg := testConfig(t, sc, MechanismAT, 3)
+	cfg := testConfig(t, sc, strategy.NameAT, 3)
 	rep, err := RunReplications(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +317,7 @@ func TestAdaptiveRHLearnsRushHours(t *testing.T) {
 	// The adaptive scheduler bootstraps with background probing, learns
 	// the mask, and should end up probing mostly in rush hours.
 	sc := scenario.Roadside(scenario.WithZetaTarget(16))
-	cfg := testConfig(t, sc, MechanismAdaptiveRH, 10)
+	cfg := testConfig(t, sc, strategy.NameAdaptiveRH, 10)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -339,49 +340,20 @@ func TestAdaptiveRHLearnsRushHours(t *testing.T) {
 	}
 }
 
-func TestMechanismString(t *testing.T) {
-	tests := []struct {
-		give Mechanism
-		want string
-	}{
-		{give: MechanismAT, want: "SNIP-AT"},
-		{give: MechanismOPT, want: "SNIP-OPT"},
-		{give: MechanismRH, want: "SNIP-RH"},
-		{give: MechanismAdaptiveRH, want: "SNIP-RH+AT"},
-		{give: Mechanism(99), want: "mechanism(99)"},
-	}
-	for _, tt := range tests {
-		if got := tt.give.String(); got != tt.want {
-			t.Errorf("String(%d) = %q, want %q", int(tt.give), got, tt.want)
-		}
-	}
-}
-
-func TestParseMechanism(t *testing.T) {
-	for _, name := range []string{"SNIP-AT", "at", "opt", "rh", "adaptive"} {
-		if _, err := ParseMechanism(name); err != nil {
-			t.Errorf("ParseMechanism(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseMechanism("nope"); err == nil {
-		t.Error("unknown mechanism should error")
-	}
-}
-
-func TestSchedulerFactoryValidation(t *testing.T) {
+func TestStrategyFactoryValidation(t *testing.T) {
 	bad := scenario.Roadside()
 	bad.Epoch = 0
-	if _, err := SchedulerFactory(bad, MechanismAT); err == nil {
+	if _, err := StrategyFactory(bad, strategy.NameAT); err == nil {
 		t.Error("invalid scenario should error")
 	}
-	if _, err := SchedulerFactory(scenario.Roadside(), Mechanism(42)); err == nil {
-		t.Error("unknown mechanism should error")
+	if _, err := StrategyFactory(scenario.Roadside(), "nope"); err == nil {
+		t.Error("unknown strategy should error")
 	}
 }
 
 func TestShiftChangesWhereContactsAppear(t *testing.T) {
 	sc := scenario.Roadside(scenario.WithZetaTarget(16))
-	factory, err := SchedulerFactory(sc, MechanismRH)
+	factory, err := StrategyFactory(sc, strategy.NameRH)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +370,7 @@ func TestShiftChangesWhereContactsAppear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	static := testConfig(t, sc, MechanismRH, 5)
+	static := testConfig(t, sc, strategy.NameRH, 5)
 	base, err := Run(static)
 	if err != nil {
 		t.Fatal(err)

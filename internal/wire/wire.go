@@ -83,39 +83,36 @@ type ObserveResponse struct {
 	Accepted int `json:"accepted"`
 }
 
-// DecodeObserve decodes an ObserveRequest body into dst[:0], reusing
-// its capacity, and returns the observations. Its result and error are
-// those of json.NewDecoder(bytes.NewReader(body)).Decode; see the
-// package comment for the canonical subset it decodes in one pass.
-func DecodeObserve(body []byte, dst []fleet.Observation) ([]fleet.Observation, error) {
-	if out, ok := scanObserve(body, dst[:0]); ok {
+// DecodeObserve decodes an ObserveRequest body and returns the
+// observations. Its result and error are those of
+// json.NewDecoder(bytes.NewReader(body)).Decode; see the package
+// comment for the canonical subset it decodes in one pass.
+func DecodeObserve(body []byte) ([]fleet.Observation, error) {
+	if out, ok := scanObserve(body); ok {
 		return out, nil
 	}
-	// Every element goes through fleet.Observation.UnmarshalJSON, which
-	// sets all four fields, so stale entries in dst's capacity cannot
-	// leak into the result.
-	//
 	// A Decoder copies the body into a buffer of its own; Unmarshal reads
 	// it in place. When Unmarshal succeeds, the body is one JSON value
 	// between whitespace, which the Decoder decodes by the same code, so
 	// the results agree. On any error (trailing data among them, which
 	// the Decoder tolerates) the Decoder runs to give its result and its
 	// error text.
-	req := observeRequest{Observations: dst[:0]}
+	var req observeRequest
 	if json.Unmarshal(body, &req) == nil {
 		return req.Observations, nil
 	}
-	req = observeRequest{Observations: dst[:0]}
+	req = observeRequest{}
 	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return nil, err
 	}
 	return req.Observations, nil
 }
 
-// scanObserve decodes a canonical body in one pass, appending to dst. It
-// reports false for any input outside the canonical subset.
-func scanObserve(body []byte, dst []fleet.Observation) ([]fleet.Observation, bool) {
+// scanObserve decodes a canonical body in one pass. It reports false for
+// any input outside the canonical subset.
+func scanObserve(body []byte) ([]fleet.Observation, bool) {
 	s := scanner{b: body}
+	var out []fleet.Observation
 	var ok bool
 	if !s.lit(`{`) || !s.lit(`"observations"`) || !s.lit(`:`) || !s.lit(`[`) {
 		return nil, false
@@ -153,7 +150,7 @@ func scanObserve(body []byte, dst []fleet.Observation) ([]fleet.Observation, boo
 			if !s.lit(`}`) {
 				return nil, false
 			}
-			dst = append(dst, o)
+			out = append(out, o)
 			if s.lit(`]`) {
 				break
 			}
@@ -169,7 +166,7 @@ func scanObserve(body []byte, dst []fleet.Observation) ([]fleet.Observation, boo
 	if s.i != len(s.b) {
 		return nil, false
 	}
-	return dst, true
+	return out, true
 }
 
 // scanner walks a body left to right; i is the next unread byte.

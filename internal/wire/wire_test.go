@@ -55,17 +55,12 @@ func reference(body []byte) ([]fleet.Observation, error) {
 	return req.Observations, err
 }
 
-// checkAgainstReference fails unless DecodeObserve, writing into a
-// reused dst full of stale entries, agrees with the reference on the
-// error text and on every node and every float bit.
+// checkAgainstReference fails unless DecodeObserve agrees with the
+// reference on the error text and on every node and every float bit.
 func checkAgainstReference(t *testing.T, body []byte) {
 	t.Helper()
 	want, wantErr := reference(body)
-	dst := make([]fleet.Observation, 3, 8)
-	for i := range dst {
-		dst[i] = fleet.Observation{Node: "stale", Time: 1, Length: 2, Uploaded: 3}
-	}
-	got, gotErr := DecodeObserve(body, dst)
+	got, gotErr := DecodeObserve(body)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("body %q: error %v, encoding/json says %v", body, gotErr, wantErr)
 	}
@@ -158,7 +153,7 @@ func TestDecodeObserveMatchesEncodingJSON(t *testing.T) {
 	for _, tc := range append([]observeCase{bench}, observeCases...) {
 		t.Run(tc.name, func(t *testing.T) {
 			checkAgainstReference(t, []byte(tc.body))
-			if _, fast := scanObserve([]byte(tc.body), nil); fast != tc.fast {
+			if _, fast := scanObserve([]byte(tc.body)); fast != tc.fast {
 				t.Errorf("scanner took %q: %v, want %v", tc.body, fast, tc.fast)
 			}
 		})
@@ -181,32 +176,22 @@ func FuzzDecodeObserve(f *testing.F) {
 
 // TestDecodeObserveAllocs pins the scanner's allocations on a
 // canonical body of n observations: one node-ID string per observation
-// and at most a handful more with a reused dst, plus the doublings of
-// append with the nil dst the daemons pass.
+// plus the doublings of the growing slice and a handful more.
 func TestDecodeObserveAllocs(t *testing.T) {
 	const n = 256
 	body := benchBody(t, n)
-	dst, err := DecodeObserve(body, nil)
-	if err != nil || len(dst) != n {
-		t.Fatalf("decode: %d observations, %v", len(dst), err)
+	obs, err := DecodeObserve(body)
+	if err != nil || len(obs) != n {
+		t.Fatalf("decode: %d observations, %v", len(obs), err)
 	}
-	reused := testing.AllocsPerRun(50, func() {
-		dst, err = DecodeObserve(body, dst)
+	allocs := testing.AllocsPerRun(50, func() {
+		_, err = DecodeObserve(body)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused > n+4 {
-		t.Fatalf("DecodeObserve into a reused dst allocates %.0f times for %d observations, want <= %d", reused, n, n+4)
-	}
-	grown := testing.AllocsPerRun(50, func() {
-		_, err = DecodeObserve(body, nil)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limit := n + bits.Len(n) + 4; grown > float64(limit) {
-		t.Fatalf("DecodeObserve into a nil dst allocates %.0f times for %d observations, want <= %d", grown, n, limit)
+	if limit := n + bits.Len(n) + 4; allocs > float64(limit) {
+		t.Fatalf("DecodeObserve allocates %.0f times for %d observations, want <= %d", allocs, n, limit)
 	}
 }
 
@@ -214,9 +199,8 @@ func TestDecodeObserveAllocs(t *testing.T) {
 // as the reference, with the encoding/json Decoder the daemons used
 // before it:
 //
-//   - scan, scan_nil_dst and encoding_json: a 256-observation body of
-//     the load generators' shape, all on the one-pass scanner; "scan"
-//     reuses dst, "scan_nil_dst" passes nil as the daemons do;
+//   - scan and encoding_json: a 256-observation body of the load
+//     generators' shape, all on the one-pass scanner;
 //   - late_escape: the same body with its last node "a<b", which
 //     json.Marshal escapes, so the scanner reads nearly all of it
 //     before the fallback decodes it again;
@@ -226,30 +210,23 @@ func BenchmarkDecodeObserve(b *testing.B) {
 	bench := benchBody(b, 256)
 	late := escapedBody(b, 256, 255)
 	large := escapedBody(b, 16384, 0)
-	run := func(name string, body []byte, reuse bool, decode func([]byte, []fleet.Observation) ([]fleet.Observation, error)) {
+	run := func(name string, body []byte, decode func([]byte) ([]fleet.Observation, error)) {
 		b.Run(name, func(b *testing.B) {
-			var dst []fleet.Observation
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := decode(body, dst)
-				if err != nil {
+				if _, err := decode(body); err != nil {
 					b.Fatal(err)
-				}
-				if reuse {
-					dst = out
 				}
 			}
 		})
 	}
-	ref := func(body []byte, _ []fleet.Observation) ([]fleet.Observation, error) { return reference(body) }
-	run("scan", bench, true, DecodeObserve)
-	run("scan_nil_dst", bench, false, DecodeObserve)
-	run("encoding_json", bench, false, ref)
-	run("late_escape", late, false, DecodeObserve)
-	run("late_escape_encoding_json", late, false, ref)
-	run("large_escape", large, false, DecodeObserve)
-	run("large_escape_encoding_json", large, false, ref)
+	run("scan", bench, DecodeObserve)
+	run("encoding_json", bench, reference)
+	run("late_escape", late, DecodeObserve)
+	run("late_escape_encoding_json", late, reference)
+	run("large_escape", large, DecodeObserve)
+	run("large_escape_encoding_json", large, reference)
 }
 
 // nodePathCases seed FuzzNodePath with URL hazards: slashes, percent
