@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build build-cmds examples test race fmt vet lint bench-smoke bench-baseline bench-fleetsim serve serve-sharded smoke-fleet ops-smoke loadtest soak fuzz fuzz-smoke crash-suite
+.PHONY: all build build-cmds examples test race fmt vet lint bench-smoke bench-baseline bench-fleetsim serve serve-sharded smoke-fleet ops-smoke loadtest loadtest-routed soak fuzz fuzz-smoke crash-suite
 
 all: fmt vet lint build test
 
@@ -113,6 +113,19 @@ loadtest: build-cmds
 	./bin/rushbench -addr http://127.0.0.1:18080 -rate 1000 -duration 10s \
 		-nodes 64 -strategies SNIP-OPT,SNIP-RH; \
 	status=$$?; kill $$pid 2>/dev/null; exit $$status
+
+# Routed load test: the loadtest through a router. Two rushprobed shard
+# daemons with fresh binary snapshot logs and one rushprobed -route
+# router in front of them, all on loopback ports, then the unchanged
+# rushbench against the router for 10 s; fail if any request fails.
+loadtest-routed: build-cmds
+	@rm -f bin/routed-shard1.snaplog bin/routed-shard2.snaplog; \
+	./bin/rushprobed -addr 127.0.0.1:18082 -bootstrap-epochs 1 -snaplog bin/routed-shard1.snaplog & s1=$$!; \
+	./bin/rushprobed -addr 127.0.0.1:18083 -bootstrap-epochs 1 -snaplog bin/routed-shard2.snaplog & s2=$$!; \
+	./bin/rushprobed -addr 127.0.0.1:18084 -route 127.0.0.1:18082,127.0.0.1:18083 & rt=$$!; \
+	./bin/rushbench -addr http://127.0.0.1:18084 -rate 1000 -duration 10s \
+		-nodes 64 -strategies SNIP-OPT,SNIP-RH; \
+	status=$$?; kill $$rt $$s1 $$s2 2>/dev/null; exit $$status
 
 # Drift soak: start rushprobed with the CUSUM detector armed and a
 # short bootstrap, replay ~10 s of observations with rushbench while

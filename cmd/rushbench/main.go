@@ -668,11 +668,7 @@ func driftReport(client *http.Client, base string, nodeIDs []string, injectEpoch
 			continue
 		}
 		dr.NodesInjected++
-		var prof struct {
-			DriftEvents     int64 `json:"driftEvents"`
-			FirstDriftEpoch int   `json:"firstDriftEpoch"`
-			LastDriftEpoch  int   `json:"lastDriftEpoch"`
-		}
+		var prof rushprobe.NodeProfile
 		if err := getJSON(client, base+wire.NodePath("/v1/profile/", id), &prof); err != nil {
 			return nil, fmt.Errorf("profile %s: %w", id, err)
 		}
@@ -744,13 +740,12 @@ func strategyReports(client *http.Client, base string, groups, nodeIDs []string)
 	aggs := make([]agg, len(groups))
 	for n, id := range nodeIDs {
 		g := n % len(groups)
-		var sched struct {
-			Mechanism string  `json:"mechanism"`
-			Zeta      float64 `json:"zeta"`
-			Phi       float64 `json:"phi"`
-		}
+		var sched wire.ScheduleResponse
 		if err := getJSON(client, base+wire.NodePath("/v1/schedule/", id), &sched); err != nil {
 			return nil, fmt.Errorf("schedule %s: %w", id, err)
+		}
+		if sched.Schedule == nil {
+			return nil, fmt.Errorf("schedule %s: reply carries no plan", id)
 		}
 		aggs[g].zeta += sched.Zeta
 		aggs[g].phi += sched.Phi
@@ -789,9 +784,7 @@ func strategyReports(client *http.Client, base string, groups, nodeIDs []string)
 // mismatched plans are counted for the caller to fail on.
 func batchScheduleReport(client *http.Client, base string, nodeIDs []string) *BatchScheduleReport {
 	rep := &BatchScheduleReport{Nodes: len(nodeIDs)}
-	body, err := json.Marshal(struct {
-		Nodes []string `json:"nodes"`
-	}{Nodes: nodeIDs})
+	body, err := json.Marshal(wire.NodeList{Nodes: nodeIDs})
 	if err != nil {
 		rep.Error = err.Error()
 		return rep
@@ -809,9 +802,7 @@ func batchScheduleReport(client *http.Client, base string, nodeIDs []string) *Ba
 		rep.Error = fmt.Sprintf("HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 		return rep
 	}
-	var got struct {
-		Schedules []*rushprobe.Schedule `json:"schedules"`
-	}
+	var got wire.SchedulesResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		rep.Error = "decode: " + err.Error()
 		return rep
@@ -876,9 +867,7 @@ func waitHealthy(base string, budget time.Duration) error {
 
 // setStrategy assigns a node's strategy via POST /v1/strategy/{node}.
 func setStrategy(base, node, name string) error {
-	body, err := json.Marshal(struct {
-		Strategy string `json:"strategy"`
-	}{Strategy: name})
+	body, err := json.Marshal(wire.StrategyRequest{Strategy: name})
 	if err != nil {
 		return err
 	}

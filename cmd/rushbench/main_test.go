@@ -58,9 +58,7 @@ func newFleetServer(t *testing.T, opts ...rushprobe.FleetOption) *httptest.Serve
 		json.NewEncoder(w).Encode(sched)
 	})
 	mux.HandleFunc("/v1/schedules", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Nodes []string `json:"nodes"`
-		}
+		var req wire.NodeList
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -70,7 +68,7 @@ func newFleetServer(t *testing.T, opts ...rushprobe.FleetOption) *httptest.Serve
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]any{"schedules": scheds})
+		json.NewEncoder(w).Encode(wire.SchedulesResponse{Schedules: scheds})
 	})
 	mux.HandleFunc("/v1/profile/", func(w http.ResponseWriter, r *http.Request) {
 		node := strings.TrimPrefix(r.URL.Path, "/v1/profile/")
@@ -83,9 +81,7 @@ func newFleetServer(t *testing.T, opts ...rushprobe.FleetOption) *httptest.Serve
 	})
 	mux.HandleFunc("/v1/strategy/", func(w http.ResponseWriter, r *http.Request) {
 		node := strings.TrimPrefix(r.URL.Path, "/v1/strategy/")
-		var req struct {
-			Strategy string `json:"strategy"`
-		}
+		var req wire.StrategyRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -95,7 +91,7 @@ func newFleetServer(t *testing.T, opts ...rushprobe.FleetOption) *httptest.Serve
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]string{"node": node, "strategy": inForce})
+		json.NewEncoder(w).Encode(wire.StrategyResponse{Node: node, Strategy: inForce})
 	})
 	return httptest.NewServer(mux)
 }

@@ -95,7 +95,7 @@ func TestObserveShedsAtCapacity(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 without a Retry-After header")
 	}
-	var er errorResponse
+	var er wire.ErrorResponse
 	if err := json.Unmarshal(readBody(t, resp), &er); err != nil || er.Error == "" {
 		t.Fatalf("shed response is not the JSON error shape: %v %q", err, er.Error)
 	}
@@ -206,11 +206,7 @@ func TestRouterObserveShedsAtCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logger, err := newLogger(io.Discard, "text", "info")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := newRouterServer(rt, logger)
+	rs := newRoutingServer(rt, nil)
 	rs.observeSem = make(chan struct{}, 1)
 	router := httptest.NewServer(rs)
 	defer router.Close()
@@ -240,7 +236,7 @@ func TestRouterObserveShedsAtCapacity(t *testing.T) {
 	if ra := resp.Header.Get("Retry-After"); ra == "" {
 		t.Error("429 without a Retry-After header")
 	}
-	var er errorResponse
+	var er wire.ErrorResponse
 	if err := json.Unmarshal(readBody(t, resp), &er); err != nil || er.Error == "" {
 		t.Fatalf("shed response is not the JSON error shape: %v %q", err, er.Error)
 	}

@@ -5,20 +5,32 @@
 // strategy selected with -mechanism, overridable per node via
 // POST /v1/strategy/{node}).
 //
-// Endpoints:
+// It runs in one of two modes with one handler set. As a shard (the
+// default) it serves its own fleet. With -route it is a router in front
+// of shard daemons: every request scatters by consistent hash to the
+// shards owning its nodes, and the answers, statuses and error texts
+// are those of a single daemon (a shard's 4xx passes through; any other
+// shard failure is a 502).
+//
+// Endpoints (both modes unless marked):
 //
 //	POST /v1/observe          {"observations":[{"node":"n1","time":3600,"length":2.1,"uploaded":512}, ...]}
 //	GET  /v1/schedule/{node}  current per-slot duty plan + strategy
+//	POST /v1/schedules        {"nodes":["n1",...]} plans in request order
 //	GET  /v1/profile/{node}   learned per-node state
 //	POST /v1/strategy/{node}  {"strategy":"SNIP-RH"} sets the node's strategy ("" = fleet default)
 //	GET  /v1/strategies       registered strategy names
-//	GET  /v1/healthz          liveness + fleet counters
-//	POST /v1/snapshot         compact learned state into the -snaplog log
+//	GET  /v1/healthz          liveness + fleet counters (a router merges its shards')
+//	POST /v1/snapshot         compact learned state into the -snaplog log (a router fans out)
+//	GET  /v1/nodes            shard only: tracked node IDs, sorted
+//	POST /v1/migrate/{export,import,remove}  shard only: the handoff calls of a rebalance
+//	GET|POST /v1/ring         router only: read or change ring membership (live rebalance)
 //	GET  /metrics             Prometheus text exposition: counters, gauges, stage histograms
 //	GET  /debug/traces?n=     most recent request/stage spans from the in-memory trace ring
 //
-// Every response is JSON, including errors and unknown routes
-// ({"error": "..."}), except /metrics (Prometheus text format).
+// Every response is JSON (the shapes are declared in internal/wire),
+// including errors and unknown routes ({"error": "..."}), except
+// /metrics (Prometheus text format) and the binary migrate export.
 //
 // The daemon degrades rather than collapses under overload: ingest
 // concurrency is bounded (-max-inflight-observe), and excess observe
@@ -27,12 +39,14 @@
 // the listener enforces header/read/write/idle timeouts so slow or
 // stalled clients cannot pin connections.
 //
-// Observability: every request gets an ID (returned as X-Request-ID and
-// threaded through the fleet's stage spans), requests slower than
-// -slow-request are logged automatically, and all logging is structured
-// (-log-format text|json, -log-level). -ops-addr starts a second
-// listener carrying net/http/pprof, /metrics, and /debug/traces, kept
-// off the fleet-facing API port.
+// Observability: every request gets an ID (a well-formed incoming
+// X-Request-ID is kept, otherwise one is minted), returned as
+// X-Request-ID, threaded through the fleet's stage spans and forwarded
+// by a router to its shards. Requests slower than -slow-request are
+// logged automatically, and all logging is structured (-log-format
+// text|json, -log-level). -ops-addr starts a second listener carrying
+// net/http/pprof, /metrics, and /debug/traces, kept off the
+// fleet-facing API port.
 //
 // With -snaplog the daemon restores learned state from a binary
 // snapshot log at startup (if the log exists), appends dirty-node
@@ -58,6 +72,7 @@ import (
 	"os/signal"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -67,6 +82,7 @@ import (
 	"rushprobe/internal/contact"
 	"rushprobe/internal/rng"
 	"rushprobe/internal/scenario"
+	"rushprobe/internal/shardroute"
 	"rushprobe/internal/simtime"
 	"rushprobe/internal/telemetry"
 	"rushprobe/internal/trace"
@@ -111,39 +127,48 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *route != "" {
-		if *smoke || *snaplog != "" {
-			return errors.New("-route is exclusive of -smoke and -snaplog: the router holds no fleet state (each shard persists its own)")
-		}
-		return runRouter(*route, *addr, *reqTimeout, *inflight, logger)
-	}
 	tel := rushprobe.NewTelemetry(rushprobe.TelemetryConfig{
 		TraceRing: *traceRing,
 		SlowSpan:  *slowReq,
 		Logger:    logger,
 	})
-	f, err := rushprobe.NewFleet(
-		rushprobe.Roadside(rushprobe.WithZetaTarget(*zeta), rushprobe.WithBudgetFraction(*budget)),
-		rushprobe.WithBootstrapEpochs(*bootstrap),
-		rushprobe.WithShards(*shards),
-		rushprobe.WithFleetMechanism(rushprobe.Mechanism(*mechanism)),
-		rushprobe.WithDriftDetector(*driftDet),
-		rushprobe.WithTelemetry(tel),
-	)
-	if err != nil {
-		return err
+	var srv *server
+	if *route != "" {
+		if *smoke || *snaplog != "" {
+			return errors.New("-route is exclusive of -smoke and -snaplog: the router holds no fleet state (each shard persists its own)")
+		}
+		rt, err := buildRouter(*route)
+		if err != nil {
+			return err
+		}
+		if len(rt.Shards()) == 0 {
+			return errors.New("-route lists no shards")
+		}
+		srv = newRoutingServer(rt, tel)
+	} else {
+		f, err := rushprobe.NewFleet(
+			rushprobe.Roadside(rushprobe.WithZetaTarget(*zeta), rushprobe.WithBudgetFraction(*budget)),
+			rushprobe.WithBootstrapEpochs(*bootstrap),
+			rushprobe.WithShards(*shards),
+			rushprobe.WithFleetMechanism(rushprobe.Mechanism(*mechanism)),
+			rushprobe.WithDriftDetector(*driftDet),
+			rushprobe.WithTelemetry(tel),
+		)
+		if err != nil {
+			return err
+		}
+		srv = newServer(f)
+		if *snaplog != "" {
+			if err := srv.openSnaplog(*snaplog, logger); err != nil {
+				return err
+			}
+		}
 	}
-	srv := newServer(f)
 	if *inflight > 0 {
 		srv.observeSem = make(chan struct{}, *inflight)
 	}
 	if *reqTimeout > 0 {
 		srv.requestTimeout = *reqTimeout
-	}
-	if *snaplog != "" {
-		if err := srv.openSnaplog(*snaplog, logger); err != nil {
-			return err
-		}
 	}
 	var opsURL string
 	if *opsAddr != "" {
@@ -183,7 +208,11 @@ func run(args []string, out io.Writer) error {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr, "mechanism", *mechanism, "snaplog", *snaplog)
+		if srv.router != nil {
+			logger.Info("routing", "addr", *addr, "shards", srv.router.Shards())
+		} else {
+			logger.Info("listening", "addr", *addr, "mechanism", *mechanism, "snaplog", *snaplog)
+		}
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -202,53 +231,47 @@ func run(args []string, out io.Writer) error {
 		if err := srv.snaplog.close(); err != nil {
 			return err
 		}
-		logger.Info("snapshot log compacted", "path", *snaplog, "nodes", f.Stats().Nodes)
+		logger.Info("snapshot log compacted", "path", *snaplog, "nodes", srv.fleet.Stats().Nodes)
 	}
 	return nil
-}
-
-// runRouter is -route mode: serve the API over a consistent-hash
-// router of shard daemons until SIGINT/SIGTERM.
-func runRouter(shardList, addr string, reqTimeout time.Duration, inflight int, logger *slog.Logger) error {
-	rt, err := buildRouter(shardList)
-	if err != nil {
-		return err
-	}
-	if len(rt.Shards()) == 0 {
-		return errors.New("-route lists no shards")
-	}
-	rsrv := newRouterServer(rt, logger)
-	if reqTimeout > 0 {
-		rsrv.requestTimeout = reqTimeout
-	}
-	if inflight > 0 {
-		rsrv.observeSem = make(chan struct{}, inflight)
-	}
-	httpSrv := newHTTPServer(rsrv)
-	httpSrv.Addr = addr
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		logger.Info("routing", "addr", addr, "shards", rt.Shards())
-		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-		}
-	}()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return httpSrv.Shutdown(shutdownCtx)
 }
 
 // newLogger builds the daemon's structured logger from the -log-format
 // and -log-level flags.
 func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	return telemetry.NewLogger(w, format, level)
+}
+
+// normalizeShardURL canonicalizes one shard base URL: trim whitespace,
+// default the scheme to http://, strip trailing slashes. The -route
+// flag and POST /v1/ring share it, so the same spelling always names
+// the same ring member.
+func normalizeShardURL(raw string) string {
+	u := strings.TrimSpace(raw)
+	if u == "" {
+		return ""
+	}
+	if !strings.Contains(u, "://") {
+		u = "http://" + u
+	}
+	return strings.TrimRight(u, "/")
+}
+
+// buildRouter wires the -route shard list (comma-separated base URLs)
+// into a consistent-hash router over HTTP backends. Shard names are
+// the URLs themselves, so the ring is a pure function of the flag.
+func buildRouter(shardList string) (*shardroute.Router, error) {
+	rt := shardroute.NewRouter(0, nil)
+	for _, raw := range strings.Split(shardList, ",") {
+		u := normalizeShardURL(raw)
+		if u == "" {
+			continue
+		}
+		if err := rt.AddShard(u, &shardroute.HTTPBackend{BaseURL: u}); err != nil {
+			return nil, err
+		}
+	}
+	return rt, nil
 }
 
 // maxObserveBody bounds an observe request body (64 MiB ≈ 700k
@@ -285,19 +308,27 @@ func newHTTPServer(h http.Handler) *http.Server {
 	}
 }
 
-// server routes the daemon's HTTP API onto a Fleet.
+// server serves the daemon's HTTP API in either mode. The routes both
+// modes share read from backend: in shard mode a
+// shardroute.LocalBackend over the daemon's own fleet, in -route mode
+// the shardroute.Router that scatters to the shard daemons. Exactly one
+// of fleet and router is set; routes that only one mode can serve
+// (/v1/nodes and /v1/migrate/* for a shard, /v1/ring for a router)
+// register only in that mode.
 type server struct {
-	fleet *rushprobe.Fleet
-	start time.Time
-	mux   *http.ServeMux
+	backend shardroute.Service
+	fleet   *rushprobe.Fleet
+	router  *shardroute.Router
+	start   time.Time
+	mux     *http.ServeMux
 
 	// snaplog, when non-nil, is the incremental binary snapshot log
 	// that persistSnapshot compacts; nil when the daemon runs without
 	// -snaplog and persists nothing.
 	snaplog *snaplogStore
 
-	// tel is the telemetry bundle shared with the fleet (a detached one
-	// when the fleet runs untelemetered, so /metrics and /debug/traces
+	// tel is the telemetry bundle (shared with the fleet in shard mode;
+	// a detached one when none is given, so /metrics and /debug/traces
 	// keep their shape); registry renders the full /metrics exposition;
 	// reqSeq mints request IDs.
 	tel      *rushprobe.Telemetry
@@ -325,13 +356,46 @@ type server struct {
 	snapSaveDur    time.Duration
 }
 
+// newServer serves f in shard mode.
 func newServer(f *rushprobe.Fleet) *server {
-	tel := f.Telemetry()
+	s := newBaseServer(&shardroute.LocalBackend{Fleet: f}, f.Telemetry())
+	s.fleet = f
+	// Exposition order: fleet counters and gauges first (the families the
+	// daemon has always served), then the stage histograms, then runtime.
+	s.registry.AddFunc(s.collectFleet)
+	s.tel.Register(s.registry)
+	telemetry.RegisterRuntime(s.registry)
+	s.mux.HandleFunc("/v1/nodes", s.handleNodes)
+	s.mux.HandleFunc("/v1/migrate/export", s.handleMigrateExport)
+	s.mux.HandleFunc("/v1/migrate/import", s.handleMigrateImport)
+	s.mux.HandleFunc("/v1/migrate/remove", s.handleMigrateRemove)
+	return s
+}
+
+// newRoutingServer serves rt in -route mode: the same handlers, every
+// request scattered to the shard daemons owning its nodes. The router
+// holds no learned state of its own — each shard persists its own
+// snapshot. tel carries the trace ring and logger; nil runs detached.
+func newRoutingServer(rt *shardroute.Router, tel *rushprobe.Telemetry) *server {
+	s := newBaseServer(rt, tel)
+	s.router = rt
+	s.registry.AddFunc(rt.Collect)
+	s.registry.AddFunc(func(e *telemetry.Exposition) {
+		e.Counter("rushprobe_observe_shed_total", "Observe requests shed at the ingest concurrency bound.", float64(s.shed.Load()))
+	})
+	telemetry.RegisterRuntime(s.registry)
+	s.mux.HandleFunc("/v1/ring", s.handleRing)
+	return s
+}
+
+// newBaseServer builds the part of the server both modes share: the
+// routes served over backend, the telemetry surface and the catch-all.
+func newBaseServer(backend shardroute.Service, tel *rushprobe.Telemetry) *server {
 	if tel == nil {
 		tel = rushprobe.NewTelemetry(rushprobe.TelemetryConfig{})
 	}
 	s := &server{
-		fleet:          f,
+		backend:        backend,
 		start:          time.Now(),
 		mux:            http.NewServeMux(),
 		tel:            tel,
@@ -340,28 +404,21 @@ func newServer(f *rushprobe.Fleet) *server {
 		requestTimeout: defaultRequestTimeout,
 		observeSem:     make(chan struct{}, defaultMaxInflightObserve),
 	}
-	// Exposition order: fleet counters and gauges first (the families the
-	// daemon has always served), then the stage histograms, then runtime.
-	s.registry.AddFunc(s.collectFleet)
-	tel.Register(s.registry)
-	telemetry.RegisterRuntime(s.registry)
 	s.mux.HandleFunc("/v1/observe", s.handleObserve)
 	s.mux.HandleFunc("/v1/schedule/", s.handleSchedule)
 	s.mux.HandleFunc("/v1/schedules", s.handleSchedules)
 	s.mux.HandleFunc("/v1/profile/", s.handleProfile)
 	s.mux.HandleFunc("/v1/strategy/", s.handleStrategy)
 	s.mux.HandleFunc("/v1/strategies", s.handleStrategies)
-	s.mux.HandleFunc("/v1/nodes", s.handleNodes)
-	s.mux.HandleFunc("/v1/migrate/export", s.handleMigrateExport)
-	s.mux.HandleFunc("/v1/migrate/import", s.handleMigrateImport)
-	s.mux.HandleFunc("/v1/migrate/remove", s.handleMigrateRemove)
 	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/traces", s.handleTraces)
 	// Catch-all: unknown routes get the API's JSON error payload, not
 	// the mux's default text/plain 404 (or an empty body).
-	s.mux.HandleFunc("/", s.handleNotFound)
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeError(w, http.StatusNotFound, "unknown path %q", r.URL.Path)
+	})
 	return s
 }
 
@@ -380,12 +437,6 @@ func newOpsMux(s *server) *http.ServeMux {
 	return m
 }
 
-// handleNotFound answers any unrouted path with the standard JSON error
-// shape, so clients can always decode the body.
-func (s *server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	writeError(w, http.StatusNotFound, "unknown path %q", r.URL.Path)
-}
-
 // statusWriter captures the response status for the request span.
 type statusWriter struct {
 	http.ResponseWriter
@@ -399,10 +450,11 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // ServeHTTP runs every request under the server's deadline, so a
 // handler stuck on a slow body or a canceled client cannot outlive its
-// budget. It also mints the request ID (echoed as X-Request-ID and
-// carried by the context into the fleet's stage spans) and records the
-// whole request as an http span — which is what triggers the
-// -slow-request auto-log.
+// budget. It adopts the caller's X-Request-ID when it is well formed
+// (wire.ValidRequestID) and mints one otherwise; the ID is echoed,
+// carried by the context into the fleet's stage spans and, in -route
+// mode, forwarded to the shards. It records the whole request as an
+// http span — which is what triggers the -slow-request auto-log.
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	if s.requestTimeout > 0 {
@@ -410,9 +462,12 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.requestTimeout)
 		defer cancel()
 	}
-	id := "req-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
+	id := r.Header.Get(wire.RequestIDHeader)
+	if !wire.ValidRequestID(id) {
+		id = "req-" + strconv.FormatUint(s.reqSeq.Add(1), 10)
+	}
 	ctx = telemetry.WithRequestID(ctx, id)
-	w.Header().Set("X-Request-ID", id)
+	w.Header().Set(wire.RequestIDHeader, id)
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	t0 := time.Now()
 	s.mux.ServeHTTP(sw, r.WithContext(ctx))
@@ -435,54 +490,105 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-type errorResponse struct {
-	Error string `json:"error"`
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	writeJSON(w, status, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
+// fail answers a backend error, the one place its status is chosen. A
+// shard's client error (a 4xx carrying the shard's own message, as a
+// *shardroute.StatusError) passes through unchanged, so a caller gets
+// the status and text a single daemon would give. Any other error is a
+// 502 in -route mode (a shard failed) and status in shard mode (the
+// local fleet failed); its message is "op: err".
+func (s *server) fail(w http.ResponseWriter, err error, status int, op string) {
+	var se *shardroute.StatusError
+	if errors.As(err, &se) && se.Code >= 400 && se.Code < 500 && se.Message != "" {
+		writeError(w, se.Code, "%s", se.Message)
+		return
+	}
+	if s.router != nil {
+		status = http.StatusBadGateway
+	}
+	writeError(w, status, "%s: %v", op, err)
+}
+
+// allow answers 405 unless the request uses method.
+func allow(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
+	}
+	writeError(w, http.StatusMethodNotAllowed, "%s required", method)
+	return false
+}
+
+// nodeParam extracts the node ID that follows prefix in the request
+// path, answering 400 itself when it is malformed or missing.
+func nodeParam(w http.ResponseWriter, r *http.Request, prefix string) (string, bool) {
+	node, err := wire.NodeParam(r.URL.EscapedPath(), prefix)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return "", false
+	}
+	if node == "" {
+		writeError(w, http.StatusBadRequest, "missing node ID")
+		return "", false
+	}
+	return node, true
+}
+
+// decodeJSON decodes a JSON request body of at most limit bytes into
+// v, answering 400 "decode: <error>" itself on failure.
+func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, "decode: %v", err)
+		return false
+	}
+	return true
 }
 
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !allow(w, r, http.MethodPost) || !s.admitObserve(w, r) {
 		return
 	}
-	if !admitObserve(s.observeSem, &s.shed, s.logger, w, r) {
-		return
-	}
-	defer releaseObserve(s.observeSem)
+	defer s.releaseObserve()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	obs, ok := decodeObserveBody(w, r, maxObserveBody)
 	if !ok {
 		return
 	}
-	accepted := s.fleet.ObserveContext(r.Context(), obs)
+	accepted, err := s.backend.Observe(r.Context(), obs)
+	if err != nil {
+		// Partial scatter failure: some shards folded their slice, some
+		// did not. The accepted count tells reporters what landed.
+		s.logger.Warn("observe failed", "accepted", accepted, "err", err, "request", telemetry.RequestID(r.Context()))
+		s.fail(w, err, http.StatusInternalServerError, fmt.Sprintf("observe: accepted %d of %d", accepted, len(obs)))
+		return
+	}
 	writeJSON(w, http.StatusOK, wire.ObserveResponse{Received: len(obs), Accepted: accepted})
 }
 
-// admitObserve takes one of sem's slots for an observe request. When
-// every slot is busy it sheds the request at once — 429 with a retry
-// hint instead of queueing without bound, so under a traffic spike the
-// server stays responsive (schedules, health, metrics) and pushes
-// backpressure to the reporting nodes — counts it in shed, and returns
-// false. A nil sem admits everything. Callers that were admitted
-// release the slot with releaseObserve.
-func admitObserve(sem chan struct{}, shed *atomic.Int64, logger *slog.Logger, w http.ResponseWriter, r *http.Request) bool {
-	if sem == nil {
+// admitObserve takes one of observeSem's slots for an observe request.
+// When every slot is busy it sheds the request at once — 429 with a
+// retry hint instead of queueing without bound, so under a traffic
+// spike the server stays responsive (schedules, health, metrics) and
+// pushes backpressure to the reporting nodes — counts it in shed, and
+// returns false. A nil semaphore admits everything. Callers that were
+// admitted release the slot with releaseObserve.
+func (s *server) admitObserve(w http.ResponseWriter, r *http.Request) bool {
+	if s.observeSem == nil {
 		return true
 	}
 	select {
-	case sem <- struct{}{}:
+	case s.observeSem <- struct{}{}:
 		return true
 	default:
 	}
 	// Shedding under a spike can be very frequent; log the first and
 	// then a 1-in-100 sample so the event is visible without the log
 	// amplifying the overload.
-	if n := shed.Add(1); n == 1 || n%100 == 0 {
-		logger.Warn("observe shed at ingest capacity",
+	if n := s.shed.Add(1); n == 1 || n%100 == 0 {
+		s.logger.Warn("observe shed at ingest capacity",
 			"shedTotal", n, "request", telemetry.RequestID(r.Context()))
 	}
 	w.Header().Set("Retry-After", "1")
@@ -491,9 +597,9 @@ func admitObserve(sem chan struct{}, shed *atomic.Int64, logger *slog.Logger, w 
 }
 
 // releaseObserve frees the slot admitObserve took.
-func releaseObserve(sem chan struct{}) {
-	if sem != nil {
-		<-sem
+func (s *server) releaseObserve() {
+	if s.observeSem != nil {
+		<-s.observeSem
 	}
 }
 
@@ -531,169 +637,102 @@ func decodeObserveBody(w http.ResponseWriter, r *http.Request, limit int64) ([]r
 	return obs, true
 }
 
-// scheduleResponse wraps a schedule with the node it was served for.
-type scheduleResponse struct {
-	Node string `json:"node"`
-	*rushprobe.Schedule
-}
-
 func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/schedule/")
+	node, ok := nodeParam(w, r, "/v1/schedule/")
+	if !ok {
+		return
+	}
+	sched, err := s.backend.Schedule(r.Context(), node)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, err, http.StatusInternalServerError, "schedule")
 		return
 	}
-	if node == "" {
-		writeError(w, http.StatusBadRequest, "missing node ID")
-		return
-	}
-	sched, err := s.fleet.ScheduleContext(r.Context(), node)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "schedule: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, scheduleResponse{Node: node, Schedule: sched})
+	writeJSON(w, http.StatusOK, wire.ScheduleResponse{Node: node, Schedule: sched})
 }
 
 // maxSchedulesBody bounds a batch schedule request body (8 MiB ≈
 // hundreds of thousands of node IDs).
 const maxSchedulesBody = 8 << 20
 
-// schedulesRequest is the POST /v1/schedules body.
-type schedulesRequest struct {
-	Nodes []string `json:"nodes"`
-}
-
-// schedulesResponse returns the plans in the request's node order.
-type schedulesResponse struct {
-	Schedules []*rushprobe.Schedule `json:"schedules"`
-}
-
 // handleSchedules is the batch counterpart of /v1/schedule/{node}: one
 // round trip for a whole fleet sweep, and the scatter-gather unit the
 // -route mode's router uses against its shards.
 func (s *server) handleSchedules(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	var req schedulesRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSchedulesBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode: %v", err)
+	var req wire.NodeList
+	if !decodeJSON(w, r, maxSchedulesBody, &req) {
 		return
 	}
-	scheds, err := s.fleet.ScheduleBatch(req.Nodes)
+	scheds, err := s.backend.ScheduleBatch(r.Context(), req.Nodes)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "schedules: %v", err)
+		s.fail(w, err, http.StatusInternalServerError, "schedules")
 		return
 	}
 	if scheds == nil {
 		scheds = []*rushprobe.Schedule{}
 	}
-	writeJSON(w, http.StatusOK, schedulesResponse{Schedules: scheds})
-}
-
-// strategyRequest is the POST /v1/strategy/{node} body.
-type strategyRequest struct {
-	// Strategy is a registered strategy name or alias; empty clears the
-	// node's override (fleet default).
-	Strategy string `json:"strategy"`
-}
-
-// strategyResponse reports the strategy now in force for the node.
-type strategyResponse struct {
-	Node     string `json:"node"`
-	Strategy string `json:"strategy"`
+	writeJSON(w, http.StatusOK, wire.SchedulesResponse{Schedules: scheds})
 }
 
 func (s *server) handleStrategy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/strategy/")
+	node, ok := nodeParam(w, r, "/v1/strategy/")
+	if !ok {
+		return
+	}
+	var req wire.StrategyRequest
+	if !decodeJSON(w, r, 4096, &req) {
+		return
+	}
+	inForce, err := s.backend.SetStrategy(r.Context(), node, req.Strategy)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		s.fail(w, err, http.StatusBadRequest, "strategy")
 		return
 	}
-	if node == "" {
-		writeError(w, http.StatusBadRequest, "missing node ID")
-		return
-	}
-	var req strategyRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4096)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode: %v", err)
-		return
-	}
-	inForce, err := s.fleet.SetStrategy(node, req.Strategy)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "strategy: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, strategyResponse{Node: node, Strategy: inForce})
-}
-
-// strategiesResponse is the GET /v1/strategies body.
-type strategiesResponse struct {
-	Strategies []string `json:"strategies"`
+	writeJSON(w, http.StatusOK, wire.StrategyResponse{Node: node, Strategy: inForce})
 }
 
 func (s *server) handleStrategies(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, strategiesResponse{Strategies: rushprobe.Strategies()})
+	writeJSON(w, http.StatusOK, wire.StrategiesResponse{Strategies: rushprobe.Strategies()})
 }
 
 func (s *server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	node, err := wire.NodeParam(r.URL.EscapedPath(), "/v1/profile/")
+	node, ok := nodeParam(w, r, "/v1/profile/")
+	if !ok {
+		return
+	}
+	prof, err := s.backend.Profile(r.Context(), node)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if node == "" {
-		writeError(w, http.StatusBadRequest, "missing node ID")
-		return
-	}
-	prof, err := s.fleet.Profile(node)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "profile: %v", err)
+		s.fail(w, err, http.StatusInternalServerError, "profile")
 		return
 	}
 	writeJSON(w, http.StatusOK, prof)
 }
 
-// nodesResponse is the GET /v1/nodes body: every tracked node ID,
-// sorted — the enumeration a router rebalance diffs against the new
-// ring.
-type nodesResponse struct {
-	Nodes []string `json:"nodes"`
-}
-
+// handleNodes lists every tracked node ID, sorted — the enumeration a
+// router rebalance diffs against the new ring.
 func (s *server) handleNodes(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
 	ids := s.fleet.NodeIDs()
 	if ids == nil {
 		ids = []string{}
 	}
-	writeJSON(w, http.StatusOK, nodesResponse{Nodes: ids})
-}
-
-// migrateExportRequest is the POST /v1/migrate/export body.
-type migrateExportRequest struct {
-	Nodes []string `json:"nodes"`
+	writeJSON(w, http.StatusOK, wire.NodeList{Nodes: ids})
 }
 
 // handleMigrateExport streams the named nodes as self-contained binary
@@ -701,13 +740,11 @@ type migrateExportRequest struct {
 // exporting fleet is untouched: it stays authoritative until the
 // migration commits and the router removes the nodes.
 func (s *server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	var req migrateExportRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSchedulesBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode: %v", err)
+	var req wire.NodeList
+	if !decodeJSON(w, r, maxSchedulesBody, &req) {
 		return
 	}
 	if len(req.Nodes) == 0 {
@@ -728,11 +765,6 @@ func (s *server) handleMigrateExport(w http.ResponseWriter, r *http.Request) {
 // shard's full frame set; a rebalance moves a fraction of that).
 const maxMigrateBody = 256 << 20
 
-// migrateImportResponse is the POST /v1/migrate/import reply.
-type migrateImportResponse struct {
-	Imported int `json:"imported"`
-}
-
 // handleMigrateImport admits binary frames produced by an export. The
 // payload is validated whole before anything lands, and with -snaplog
 // configured the imported nodes are appended to the log before the 200
@@ -740,8 +772,7 @@ type migrateImportResponse struct {
 // commit point, so acknowledging an unpersisted import would let a
 // crash lose nodes both sides think were handed off.
 func (s *server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxMigrateBody))
@@ -761,30 +792,18 @@ func (s *server) handleMigrateImport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.logger.Info("migrate import", "nodes", n, "request", telemetry.RequestID(r.Context()))
-	writeJSON(w, http.StatusOK, migrateImportResponse{Imported: n})
-}
-
-// migrateRemoveRequest is the POST /v1/migrate/remove body.
-type migrateRemoveRequest struct {
-	Nodes []string `json:"nodes"`
-}
-
-// migrateRemoveResponse is the POST /v1/migrate/remove reply.
-type migrateRemoveResponse struct {
-	Removed int `json:"removed"`
+	writeJSON(w, http.StatusOK, wire.ImportResponse{Imported: n})
 }
 
 // handleMigrateRemove deletes the named nodes — the post-commit
 // cleanup of a handoff. Unknown IDs are skipped, so re-running a
 // partially cleaned migration converges.
 func (s *server) handleMigrateRemove(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !allow(w, r, http.MethodPost) {
 		return
 	}
-	var req migrateRemoveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSchedulesBody)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode: %v", err)
+	var req wire.NodeList
+	if !decodeJSON(w, r, maxSchedulesBody, &req) {
 		return
 	}
 	n := s.fleet.RemoveNodes(req.Nodes)
@@ -801,45 +820,63 @@ func (s *server) handleMigrateRemove(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.logger.Info("migrate remove", "nodes", n, "request", telemetry.RequestID(r.Context()))
-	writeJSON(w, http.StatusOK, migrateRemoveResponse{Removed: n})
+	writeJSON(w, http.StatusOK, wire.RemoveResponse{Removed: n})
 }
 
-// healthResponse is the GET /v1/healthz body.
-type healthResponse struct {
-	Status        string         `json:"status"`
-	UptimeSeconds float64        `json:"uptimeSeconds"`
-	Snapshot      snapshotHealth `json:"snapshot"`
-	rushprobe.FleetStats
-}
-
-// snapshotHealth is the healthz view of snapshot persistence.
-type snapshotHealth struct {
-	// Configured reports whether the daemon runs with -snaplog at all.
-	Configured bool `json:"configured"`
-	// RestoredAtStartup is true when learned state was restored from the
-	// snapshot log when the daemon started.
-	RestoredAtStartup bool `json:"restoredAtStartup"`
-	// Saves counts snapshot writes since startup (shutdown + POST
-	// /v1/snapshot).
-	Saves int64 `json:"saves"`
-	// LastSaveAgeSeconds is the age of the newest save, -1 before the
-	// first — the staleness alarm input for operators.
-	LastSaveAgeSeconds float64 `json:"lastSaveAgeSeconds"`
-	// LastSaveDurationSeconds and LastRestoreDurationSeconds are the
-	// wall-clock costs of the most recent save and the startup restore.
-	LastSaveDurationSeconds    float64 `json:"lastSaveDurationSeconds"`
-	LastRestoreDurationSeconds float64 `json:"lastRestoreDurationSeconds"`
-	// LastRestorePhases and LastSavePhases split the snapshot log's
-	// startup restore and its most recent compaction (-snaplog only).
-	LastRestorePhases *restorePhases `json:"lastRestorePhases,omitempty"`
-	LastSavePhases    *savePhases    `json:"lastSavePhases,omitempty"`
+// handleRing reads (GET) or changes (POST) a router's ring membership.
+// POST entries are normalized like the -route flag, so the same
+// spelling addresses the same shard, and run a full Rebalance: learned
+// state drains from old owners to new before the ring flips, so every
+// already-learned node keeps its schedule across the change (see
+// shardroute.Router.Rebalance).
+func (s *server) handleRing(w http.ResponseWriter, r *http.Request) {
+	switch r.Method {
+	case http.MethodGet:
+		writeJSON(w, http.StatusOK, wire.RingResponse{Shards: s.router.Shards()})
+	case http.MethodPost:
+		var req wire.RingChangeRequest
+		if !decodeJSON(w, r, 1<<20, &req) {
+			return
+		}
+		add := make(map[string]shardroute.Backend, len(req.Add))
+		for _, raw := range req.Add {
+			u := normalizeShardURL(raw)
+			if u == "" {
+				writeError(w, http.StatusBadRequest, "empty shard URL in add list")
+				return
+			}
+			add[u] = &shardroute.HTTPBackend{BaseURL: u}
+		}
+		remove := make([]string, 0, len(req.Remove))
+		for _, raw := range req.Remove {
+			u := normalizeShardURL(raw)
+			if u == "" {
+				writeError(w, http.StatusBadRequest, "empty shard URL in remove list")
+				return
+			}
+			remove = append(remove, u)
+		}
+		report, err := s.router.Rebalance(r.Context(), add, remove)
+		if err != nil {
+			s.logger.Warn("rebalance failed", "err", err, "request", telemetry.RequestID(r.Context()))
+			writeError(w, http.StatusBadGateway, "rebalance: %v", err)
+			return
+		}
+		s.logger.Info("rebalance committed",
+			"shards", len(report.Shards), "moved", report.Moved,
+			"cleanupErrors", len(report.CleanupErrors),
+			"request", telemetry.RequestID(r.Context()))
+		writeJSON(w, http.StatusOK, report)
+	default:
+		writeError(w, http.StatusMethodNotAllowed, "GET or POST required")
+	}
 }
 
 // snapshotHealth snapshots the server's persistence bookkeeping.
-func (s *server) snapshotHealth() snapshotHealth {
+func (s *server) snapshotHealth() wire.SnapshotHealth {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	h := snapshotHealth{
+	h := wire.SnapshotHealth{
 		Configured:                 s.snaplog != nil,
 		RestoredAtStartup:          s.snapRestored,
 		Saves:                      s.snapSaves,
@@ -856,16 +893,38 @@ func (s *server) snapshotHealth() snapshotHealth {
 	return h
 }
 
+// handleHealthz reports liveness and the fleet counters, flat in both
+// modes. A shard adds its snapshot block; a router merges its shards'
+// counters and lists the shards, degrading the status (still 200) when
+// any shard does not answer.
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, http.StatusOK, healthResponse{
-		Status:        "ok",
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Snapshot:      s.snapshotHealth(),
-		FleetStats:    s.fleet.Stats(),
+	uptime := time.Since(s.start).Seconds()
+	if s.router == nil {
+		writeJSON(w, http.StatusOK, wire.HealthResponse{
+			Status:        "ok",
+			UptimeSeconds: uptime,
+			Snapshot:      s.snapshotHealth(),
+			Stats:         s.fleet.Stats(),
+		})
+		return
+	}
+	shards := s.router.Shards()
+	per, err := s.router.ShardStats(r.Context())
+	status := "ok"
+	if err != nil {
+		status = "degraded: " + err.Error()
+	}
+	writeJSON(w, http.StatusOK, wire.RouterHealthResponse{
+		Status:          status,
+		UptimeSeconds:   uptime,
+		Shards:          shards,
+		ShardsTotal:     len(shards),
+		ShardsReporting: len(per),
+		Stats:           shardroute.SumStats(per),
+		PerShard:        per,
 	})
 }
 
@@ -933,8 +992,7 @@ func (s *server) collectFleet(e *telemetry.Exposition) {
 // histograms, runtime gauges — in the Prometheus text exposition
 // format, hand-rolled to keep the daemon dependency-free.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
 	var b bytes.Buffer
@@ -955,8 +1013,7 @@ type tracesResponse struct {
 }
 
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
+	if !allow(w, r, http.MethodGet) {
 		return
 	}
 	n := 64
@@ -1015,14 +1072,18 @@ func (s *server) persistSnapshot() error {
 	return nil
 }
 
-type snapshotResponse struct {
-	Nodes int    `json:"nodes"`
-	Path  string `json:"path"`
-}
-
+// handleSnapshot persists learned state: a shard compacts its -snaplog
+// log, a router asks every shard to persist its own.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !allow(w, r, http.MethodPost) {
+		return
+	}
+	if s.router != nil {
+		if err := s.router.PersistSnapshots(r.Context()); err != nil {
+			writeError(w, http.StatusBadGateway, "snapshot fan-out: %v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, wire.RouterSnapshotResponse{Shards: len(s.router.Shards())})
 		return
 	}
 	if s.snaplog == nil {
@@ -1033,7 +1094,7 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotResponse{Nodes: s.fleet.Stats().Nodes, Path: s.snaplog.path})
+	writeJSON(w, http.StatusOK, wire.SnapshotResponse{Nodes: s.fleet.Stats().Nodes, Path: s.snaplog.path})
 }
 
 // smokeContacts loads the trace CSV (e.g. written by tracegen), or
@@ -1109,7 +1170,7 @@ func smokeTest(srv *server, tracePath string, nodes int, opsURL string, out io.W
 	learned := true
 	for n := 0; n < nodes; n++ {
 		id := fmt.Sprintf("smoke-%03d", n)
-		var sr scheduleResponse
+		var sr wire.ScheduleResponse
 		if err := getJSON(base+"/v1/schedule/"+id, &sr); err != nil {
 			return fmt.Errorf("smoke: schedule %s: %w", id, err)
 		}
@@ -1124,7 +1185,7 @@ func smokeTest(srv *server, tracePath string, nodes int, opsURL string, out io.W
 				id, sr.Mechanism, sr.Zeta, sr.Phi, len(sr.Duty))
 		}
 	}
-	var hr healthResponse
+	var hr wire.HealthResponse
 	if err := getJSON(base+"/v1/healthz", &hr); err != nil {
 		return err
 	}

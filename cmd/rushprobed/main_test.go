@@ -140,7 +140,7 @@ func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 			t.Fatalf("schedule %s: HTTP %d: %s", id, resp.StatusCode, body)
 		}
 		schedules[id] = string(body)
-		var sr scheduleResponse
+		var sr wire.ScheduleResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatalf("schedule %s: %v", id, err)
 		}
@@ -154,7 +154,7 @@ func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 		t.Fatalf("%d of %d nodes serve learned plans", learned, nodes)
 	}
 
-	var hr healthResponse
+	var hr wire.HealthResponse
 	resp, err := http.Get(srv1.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestColdNodeScheduleNever500s(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold node: HTTP %d: %s", resp.StatusCode, body)
 	}
-	var sr scheduleResponse
+	var sr wire.ScheduleResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestUnknownRouteReturnsJSONError(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("GET %s: Content-Type %q, want application/json", path, ct)
 		}
-		var er errorResponse
+		var er wire.ErrorResponse
 		if err := json.Unmarshal(body, &er); err != nil {
 			t.Fatalf("GET %s: body %q is not the JSON error shape: %v", path, body, err)
 		}
@@ -274,7 +274,7 @@ func TestStrategyEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("set strategy: HTTP %d: %s", resp.StatusCode, data)
 	}
-	var sr strategyResponse
+	var sr wire.StrategyResponse
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestStrategyEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sched scheduleResponse
+	var sched wire.ScheduleResponse
 	if err := json.Unmarshal(readBody(t, schedResp), &sched); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestStrategyEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lr strategiesResponse
+	var lr wire.StrategiesResponse
 	if err := json.Unmarshal(readBody(t, listResp), &lr); err != nil {
 		t.Fatal(err)
 	}

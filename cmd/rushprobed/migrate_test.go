@@ -31,10 +31,6 @@ type migrationTopology struct {
 
 func newMigrationTopology(t *testing.T, shards int) *migrationTopology {
 	t.Helper()
-	logger, err := newLogger(io.Discard, "text", "info")
-	if err != nil {
-		t.Fatal(err)
-	}
 	top := &migrationTopology{dir: t.TempDir()}
 	for i := 0; i < shards; i++ {
 		top.addShard(t, fmt.Sprintf("shard-%d", i))
@@ -43,7 +39,7 @@ func newMigrationTopology(t *testing.T, shards int) *migrationTopology {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := httptest.NewServer(newRouterServer(rt, logger))
+	router := httptest.NewServer(newRoutingServer(rt, nil))
 	t.Cleanup(router.Close)
 	top.routerURL = router.URL
 	return top
@@ -93,7 +89,7 @@ func routerSchedules(t *testing.T, routerURL string, ids []string) map[string][]
 
 func postRing(t *testing.T, routerURL string, add, remove []string) (*http.Response, []byte) {
 	t.Helper()
-	body, err := json.Marshal(ringChangeRequest{Add: add, Remove: remove})
+	body, err := json.Marshal(wire.RingChangeRequest{Add: add, Remove: remove})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +160,7 @@ func TestRebalancePreservesSchedules(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/ring: HTTP %d: %s", resp.StatusCode, body)
 	}
-	var report struct {
-		Shards        []string `json:"shards"`
-		Moved         int      `json:"moved"`
-		CleanupErrors []string `json:"cleanupErrors"`
-	}
+	var report wire.RebalanceReport
 	if err := json.Unmarshal(body, &report); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +173,7 @@ func TestRebalancePreservesSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ring ringResponse
+	var ring wire.RingResponse
 	if err := json.Unmarshal(readBody(t, rresp), &ring); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +283,7 @@ func TestRebalanceCrashMidHandoffConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ring ringResponse
+	var ring wire.RingResponse
 	if err := json.Unmarshal(readBody(t, rresp), &ring); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +366,7 @@ func TestRoutedAwkwardNodeIDsRoundTrip(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET schedule for %q: HTTP %d: %s", id, resp.StatusCode, b)
 		}
-		var sched scheduleResponse
+		var sched wire.ScheduleResponse
 		if err := json.Unmarshal(b, &sched); err != nil {
 			t.Fatal(err)
 		}
@@ -433,10 +425,6 @@ func TestRoutedAwkwardNodeIDsRoundTrip(t *testing.T) {
 // shardsReporting < shardsTotal flags the merged counters as a partial
 // view, never fleet truth.
 func TestRouterHealthzReportsPartialShardCoverage(t *testing.T) {
-	logger, err := newLogger(io.Discard, "text", "info")
-	if err != nil {
-		t.Fatal(err)
-	}
 	up := httptest.NewServer(newServer(newTestFleet(t)))
 	t.Cleanup(up.Close)
 	down := httptest.NewServer(http.NotFoundHandler())
@@ -447,14 +435,14 @@ func TestRouterHealthzReportsPartialShardCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := httptest.NewServer(newRouterServer(rt, logger))
+	router := httptest.NewServer(newRoutingServer(rt, nil))
 	t.Cleanup(router.Close)
 
 	resp, err := http.Get(router.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr routerHealthResponse
+	var hr wire.RouterHealthResponse
 	if err := json.Unmarshal(readBody(t, resp), &hr); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rushprobe/internal/shardroute"
+	"rushprobe/internal/wire"
 )
 
 // spaces is an endless reader of JSON whitespace, so an over-limit
@@ -26,13 +27,9 @@ func (spaces) Read(p []byte) (int, error) {
 // that fail to decode, on the daemon and on the router, which share
 // one body reader.
 func TestObserveBadBodies(t *testing.T) {
-	logger, err := newLogger(io.Discard, "text", "info")
-	if err != nil {
-		t.Fatal(err)
-	}
 	handlers := map[string]http.Handler{
 		"daemon": newServer(newTestFleet(t)),
-		"router": newRouterServer(shardroute.NewRouter(0, nil), logger),
+		"router": newRoutingServer(shardroute.NewRouter(0, nil), nil),
 	}
 	// The over-limit body is a complete JSON value padded past the limit
 	// with whitespace.
@@ -62,7 +59,7 @@ func TestObserveBadBodies(t *testing.T) {
 				if rec.Code != http.StatusBadRequest {
 					t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
 				}
-				var er errorResponse
+				var er wire.ErrorResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
 					t.Fatalf("error body %q is not JSON: %v", rec.Body, err)
 				}

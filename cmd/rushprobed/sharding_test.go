@@ -54,12 +54,12 @@ func TestSchedulesBatchEndpoint(t *testing.T) {
 	for i, id := range ids {
 		reversed[len(ids)-1-i] = id
 	}
-	body, _ := json.Marshal(schedulesRequest{Nodes: reversed})
+	body, _ := json.Marshal(wire.NodeList{Nodes: reversed})
 	resp := mustPost(t, srv.URL+"/v1/schedules", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/schedules: HTTP %d: %s", resp.StatusCode, readBody(t, resp))
 	}
-	var sr schedulesResponse
+	var sr wire.SchedulesResponse
 	if err := json.Unmarshal(readBody(t, resp), &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestSchedulesBatchEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var one scheduleResponse
+		var one wire.ScheduleResponse
 		if err := json.Unmarshal(readBody(t, single), &one); err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestSchedulesBatchEndpoint(t *testing.T) {
 	}
 	readBody(t, getResp)
 	empty := mustPost(t, srv.URL+"/v1/schedules", []byte(`{"nodes":[]}`))
-	var er schedulesResponse
+	var er wire.SchedulesResponse
 	if err := json.Unmarshal(readBody(t, empty), &er); err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestSnapshotEndpointWithSnaplog(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/snapshot: HTTP %d: %s", resp.StatusCode, body)
 	}
-	var snap snapshotResponse
+	var snap wire.SnapshotResponse
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestSnapshotEndpointWithSnaplog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr healthResponse
+	var hr wire.HealthResponse
 	if err := json.Unmarshal(readBody(t, hresp), &hr); err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestRouterModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	router := httptest.NewServer(newRouterServer(rt, logger))
+	router := httptest.NewServer(newRoutingServer(rt, nil))
 	defer router.Close()
 
 	ids := ingestNodes(t, router.URL, 40)
@@ -509,7 +509,7 @@ func TestRouterModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr routerHealthResponse
+	var hr wire.RouterHealthResponse
 	if err := json.Unmarshal(readBody(t, hresp), &hr); err != nil {
 		t.Fatal(err)
 	}
@@ -518,9 +518,9 @@ func TestRouterModeEndToEnd(t *testing.T) {
 	}
 
 	// Batch schedules through the router match per-node fetches.
-	body, _ := json.Marshal(schedulesRequest{Nodes: ids})
+	body, _ := json.Marshal(wire.NodeList{Nodes: ids})
 	resp := mustPost(t, router.URL+"/v1/schedules", body)
-	var sr schedulesResponse
+	var sr wire.SchedulesResponse
 	if err := json.Unmarshal(readBody(t, resp), &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestRouterModeEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var one scheduleResponse
+		var one wire.ScheduleResponse
 		if err := json.Unmarshal(readBody(t, single), &one); err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +545,7 @@ func TestRouterModeEndToEnd(t *testing.T) {
 
 	// Strategy + profile route through.
 	resp = mustPost(t, router.URL+"/v1/strategy/"+ids[0], []byte(`{"strategy":"SNIP-RH"}`))
-	var strat strategyResponse
+	var strat wire.StrategyResponse
 	if err := json.Unmarshal(readBody(t, resp), &strat); err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +559,7 @@ func TestRouterModeEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router snapshot: HTTP %d: %s", resp.StatusCode, snapBody)
 	}
-	var rsnap routerSnapshotResponse
+	var rsnap wire.RouterSnapshotResponse
 	if err := json.Unmarshal(snapBody, &rsnap); err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rushprobe"
+	"rushprobe/internal/wire"
 )
 
 // snaplogCompactRatio triggers compaction once the delta tail outgrows
@@ -38,28 +39,8 @@ type snaplogStore struct {
 	// lastRestore and lastSave split the startup restore and the most
 	// recent compaction into phases for /v1/healthz (nil until each
 	// has happened once).
-	lastRestore *restorePhases
-	lastSave    *savePhases
-}
-
-// restorePhases splits a snapshot-log restore: reading, CRC-checking
-// and decoding the frames, then validating the decoded nodes and
-// swapping them into the fleet. Total is the whole restore as the store
-// timed it, so the phases sum to at most Total.
-type restorePhases struct {
-	ReadDecodeSeconds float64 `json:"readDecodeSeconds"`
-	AdmitSeconds      float64 `json:"admitSeconds"`
-	TotalSeconds      float64 `json:"totalSeconds"`
-}
-
-// savePhases splits a compaction: encoding the full snapshot into the
-// temp file, its fsync, and the rename over the log. Total is the whole
-// compaction, handle reopen included.
-type savePhases struct {
-	EncodeWriteSeconds float64 `json:"encodeWriteSeconds"`
-	FsyncSeconds       float64 `json:"fsyncSeconds"`
-	RenameSeconds      float64 `json:"renameSeconds"`
-	TotalSeconds       float64 `json:"totalSeconds"`
+	lastRestore *wire.RestorePhases
+	lastSave    *wire.SavePhases
 }
 
 func newSnaplogStore(f *rushprobe.Fleet, path string, logger *slog.Logger) *snaplogStore {
@@ -91,7 +72,7 @@ func (st *snaplogStore) restore() (bool, error) {
 	}
 	total := time.Since(t0)
 	st.mu.Lock()
-	st.lastRestore = &restorePhases{
+	st.lastRestore = &wire.RestorePhases{
 		ReadDecodeSeconds: info.Decode.Seconds(),
 		AdmitSeconds:      info.Admit.Seconds(),
 		TotalSeconds:      total.Seconds(),
@@ -184,7 +165,7 @@ func (st *snaplogStore) compactLocked() error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	var phases savePhases
+	var phases wire.SavePhases
 	t := time.Now()
 	if err := st.fleet.SnapshotBinary(tmp); err != nil {
 		tmp.Close()
@@ -226,7 +207,7 @@ func (st *snaplogStore) compactLocked() error {
 }
 
 // phases returns the last restore's and compaction's phase splits.
-func (st *snaplogStore) phases() (*restorePhases, *savePhases) {
+func (st *snaplogStore) phases() (*wire.RestorePhases, *wire.SavePhases) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.lastRestore, st.lastSave

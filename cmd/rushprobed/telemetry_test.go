@@ -156,14 +156,14 @@ func TestHealthzSnapshotBlock(t *testing.T) {
 	srv := httptest.NewServer(newSnaplogServer(t, f, snapPath)) // missing log: fresh start
 	defer srv.Close()
 
-	var hr healthResponse
+	var hr wire.HealthResponse
 	readHealth := func() {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/v1/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
-		hr = healthResponse{}
+		hr = wire.HealthResponse{}
 		if err := json.Unmarshal(readBody(t, resp), &hr); err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestHealthzSnapshotBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr2 healthResponse
+	var hr2 wire.HealthResponse
 	if err := json.Unmarshal(readBody(t, resp), &hr2); err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,16 @@ import (
 	"time"
 
 	"rushprobe/internal/fleet"
+	"rushprobe/internal/telemetry"
 	"rushprobe/internal/wire"
 )
 
-// Backend is one fleet shard behind the router: the serving surface a
-// shard must expose, whether it lives in this process or behind a
-// rushprobed daemon. Every method is context-bound so a slow shard
-// cannot pin a scatter past the request deadline.
-type Backend interface {
+// Service is the serving half of Backend: the calls the daemon's /v1
+// handlers make. *Router implements it too, so a router serves through
+// the same handlers as a shard, and a router can be another router's
+// shard. Every method is context-bound so a slow shard cannot pin a
+// scatter past the request deadline.
+type Service interface {
 	// Observe folds a batch (already routed: every observation in it
 	// belongs to this shard) and returns how many were accepted.
 	Observe(ctx context.Context, batch []fleet.Observation) (int, error)
@@ -32,6 +34,15 @@ type Backend interface {
 	Profile(ctx context.Context, node string) (fleet.NodeProfile, error)
 	// Stats returns the shard's counters.
 	Stats(ctx context.Context) (fleet.Stats, error)
+}
+
+var _ Service = (*Router)(nil)
+
+// Backend is one fleet shard behind the router: the serving surface
+// plus the persistence and handoff calls a rebalance needs, whether the
+// shard lives in this process or behind a rushprobed daemon.
+type Backend interface {
+	Service
 	// PersistSnapshot asks the shard to persist its learned state to
 	// its own durable home (each shard owns its snapshot).
 	PersistSnapshot(ctx context.Context) error
@@ -55,13 +66,28 @@ type Backend interface {
 	RemoveNodes(ctx context.Context, ids []string) (int, error)
 }
 
-// LocalBackend adapts an in-process *fleet.Fleet to the Backend
-// interface. Persist, when non-nil, is invoked by PersistSnapshot —
-// the daemon wires it to its binary snapshot log writer; nil makes
-// PersistSnapshot an error so a misconfigured shard cannot silently
-// drop state.
+// LocalFleet is the fleet a LocalBackend serves from: the method set
+// *fleet.Fleet and the public *rushprobe.Fleet share.
+type LocalFleet interface {
+	ObserveContext(ctx context.Context, batch []fleet.Observation) int
+	ScheduleContext(ctx context.Context, node string) (*fleet.Schedule, error)
+	ScheduleBatch(nodes []string) ([]*fleet.Schedule, error)
+	SetStrategy(node, name string) (string, error)
+	Profile(node string) (fleet.NodeProfile, error)
+	Stats() fleet.Stats
+	NodeIDs() []string
+	ExportNodes(ids []string) ([]byte, error)
+	ImportFrames(data []byte) (int, error)
+	RemoveNodes(ids []string) int
+}
+
+// LocalBackend adapts an in-process fleet to the Backend interface; the
+// daemon serves its /v1 routes through one in shard mode. Persist, when
+// non-nil, is invoked by PersistSnapshot and after ImportFrames; nil
+// makes PersistSnapshot an error so a misconfigured shard cannot
+// silently drop state.
 type LocalBackend struct {
-	Fleet   *fleet.Fleet
+	Fleet   LocalFleet
 	Name    string
 	Persist func(ctx context.Context) error
 }
@@ -154,37 +180,76 @@ func (b *HTTPBackend) client() *http.Client {
 	return defaultClient
 }
 
-// errorBody is the daemon's JSON error payload.
-type errorBody struct {
-	Error string `json:"error"`
+// StatusError is a shard daemon's non-2xx reply. Message is the
+// daemon's own {"error"} string, empty when the body did not decode as
+// one; a server passing a shard's client error through to its caller
+// answers with Code and Message unchanged.
+type StatusError struct {
+	Method, Path string
+	Code         int
+	Message      string
 }
 
-// call performs one JSON round trip. A non-2xx response surfaces the
-// daemon's error string.
+func (e *StatusError) Error() string {
+	if e.Message == "" {
+		return fmt.Sprintf("shardroute: %s %s: HTTP %d", e.Method, e.Path, e.Code)
+	}
+	return fmt.Sprintf("shardroute: %s %s: HTTP %d: %s", e.Method, e.Path, e.Code, e.Message)
+}
+
+// do sends one request to the daemon: every call goes through here, so
+// each carries the caller's request ID (telemetry.RequestID) and a
+// non-2xx reply always becomes a *StatusError. On success the caller
+// owns the response body.
+func (b *HTTPBackend) do(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, b.BaseURL+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	if id := telemetry.RequestID(ctx); id != "" {
+		req.Header.Set(wire.RequestIDHeader, id)
+	}
+	resp, err := b.client().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
+		defer resp.Body.Close()
+		se := &StatusError{Method: method, Path: path, Code: resp.StatusCode}
+		var eb wire.ErrorResponse
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		if json.Unmarshal(data, &eb) == nil {
+			se.Message = eb.Error
+		}
+		return nil, se
+	}
+	return resp, nil
+}
+
+// call performs one JSON round trip: in (when non-nil) is the request
+// body, out (when non-nil) receives the reply.
 func (b *HTTPBackend) call(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
+	var body []byte
+	contentType := ""
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		body = bytes.NewReader(data)
+		body, contentType = data, "application/json"
 	}
-	req, err := http.NewRequestWithContext(ctx, method, b.BaseURL+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := b.client().Do(req)
+	resp, err := b.do(ctx, method, path, contentType, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return httpError(method, path, resp)
-	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return err
@@ -196,17 +261,6 @@ func (b *HTTPBackend) call(ctx context.Context, method, path string, in, out any
 	return nil
 }
 
-// httpError turns a non-2xx daemon response into an error carrying the
-// daemon's JSON error string when one decodes.
-func httpError(method, path string, resp *http.Response) error {
-	var eb errorBody
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-		return fmt.Errorf("shardroute: %s %s: HTTP %d: %s", method, path, resp.StatusCode, eb.Error)
-	}
-	return fmt.Errorf("shardroute: %s %s: HTTP %d", method, path, resp.StatusCode)
-}
-
 func (b *HTTPBackend) Observe(ctx context.Context, batch []fleet.Observation) (int, error) {
 	var out wire.ObserveResponse
 	if err := b.call(ctx, http.MethodPost, "/v1/observe", wire.ObserveRequest{Observations: batch}, &out); err != nil {
@@ -216,24 +270,19 @@ func (b *HTTPBackend) Observe(ctx context.Context, batch []fleet.Observation) (i
 }
 
 func (b *HTTPBackend) Schedule(ctx context.Context, node string) (*fleet.Schedule, error) {
-	var out fleet.Schedule
+	var out wire.ScheduleResponse
 	if err := b.call(ctx, http.MethodGet, wire.NodePath("/v1/schedule/", node), nil, &out); err != nil {
 		return nil, err
 	}
-	return &out, nil
-}
-
-type schedulesWire struct {
-	Nodes []string `json:"nodes"`
-}
-
-type schedulesReply struct {
-	Schedules []*fleet.Schedule `json:"schedules"`
+	if out.Schedule == nil {
+		return nil, fmt.Errorf("shardroute: shard returned no schedule for node %q", node)
+	}
+	return out.Schedule, nil
 }
 
 func (b *HTTPBackend) ScheduleBatch(ctx context.Context, nodes []string) ([]*fleet.Schedule, error) {
-	var out schedulesReply
-	if err := b.call(ctx, http.MethodPost, "/v1/schedules", schedulesWire{Nodes: nodes}, &out); err != nil {
+	var out wire.SchedulesResponse
+	if err := b.call(ctx, http.MethodPost, "/v1/schedules", wire.NodeList{Nodes: nodes}, &out); err != nil {
 		return nil, err
 	}
 	if len(out.Schedules) != len(nodes) {
@@ -242,17 +291,9 @@ func (b *HTTPBackend) ScheduleBatch(ctx context.Context, nodes []string) ([]*fle
 	return out.Schedules, nil
 }
 
-type strategyWire struct {
-	Strategy string `json:"strategy"`
-}
-
-type strategyReply struct {
-	Strategy string `json:"strategy"`
-}
-
 func (b *HTTPBackend) SetStrategy(ctx context.Context, node, name string) (string, error) {
-	var out strategyReply
-	if err := b.call(ctx, http.MethodPost, wire.NodePath("/v1/strategy/", node), strategyWire{Strategy: name}, &out); err != nil {
+	var out wire.StrategyResponse
+	if err := b.call(ctx, http.MethodPost, wire.NodePath("/v1/strategy/", node), wire.StrategyRequest{Strategy: name}, &out); err != nil {
 		return "", err
 	}
 	return out.Strategy, nil
@@ -265,8 +306,8 @@ func (b *HTTPBackend) Profile(ctx context.Context, node string) (fleet.NodeProfi
 }
 
 func (b *HTTPBackend) Stats(ctx context.Context) (fleet.Stats, error) {
-	// The daemon's healthz body embeds the fleet counters flat, so it
-	// decodes straight into Stats.
+	// Both healthz bodies (a shard's and a router's) carry the fleet
+	// counters flat, so either decodes straight into Stats.
 	var out fleet.Stats
 	err := b.call(ctx, http.MethodGet, "/v1/healthz", nil, &out)
 	return out, err
@@ -276,51 +317,28 @@ func (b *HTTPBackend) PersistSnapshot(ctx context.Context) error {
 	return b.call(ctx, http.MethodPost, "/v1/snapshot", nil, nil)
 }
 
-// nodesReply is the GET /v1/nodes body.
-type nodesReply struct {
-	Nodes []string `json:"nodes"`
-}
-
 func (b *HTTPBackend) ListNodes(ctx context.Context) ([]string, error) {
-	var out nodesReply
+	var out wire.NodeList
 	if err := b.call(ctx, http.MethodGet, "/v1/nodes", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Nodes, nil
 }
 
-// migrateWire is the JSON body of the node-addressed migration calls.
-type migrateWire struct {
-	Nodes []string `json:"nodes"`
-}
-
 // ExportNodes posts the ID list and returns the daemon's binary frame
 // stream verbatim — the one call in the API whose response is bytes,
 // not JSON.
 func (b *HTTPBackend) ExportNodes(ctx context.Context, ids []string) ([]byte, error) {
-	const path = "/v1/migrate/export"
-	payload, err := json.Marshal(migrateWire{Nodes: ids})
+	payload, err := json.Marshal(wire.NodeList{Nodes: ids})
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.BaseURL+path, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := b.client().Do(req)
+	resp, err := b.do(ctx, http.MethodPost, "/v1/migrate/export", "application/json", payload)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return nil, httpError(http.MethodPost, path, resp)
-	}
 	return io.ReadAll(resp.Body)
-}
-
-type importReply struct {
-	Imported int `json:"imported"`
 }
 
 // ImportFrames posts the raw frame stream; the daemon validates it in
@@ -328,34 +346,21 @@ type importReply struct {
 // answering, so a 2xx here means the handoff is durable on the new
 // owner.
 func (b *HTTPBackend) ImportFrames(ctx context.Context, data []byte) (int, error) {
-	const path = "/v1/migrate/import"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.BaseURL+path, bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := b.client().Do(req)
+	resp, err := b.do(ctx, http.MethodPost, "/v1/migrate/import", "application/octet-stream", data)
 	if err != nil {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return 0, httpError(http.MethodPost, path, resp)
-	}
-	var out importReply
+	var out wire.ImportResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return 0, err
 	}
 	return out.Imported, nil
 }
 
-type removeReply struct {
-	Removed int `json:"removed"`
-}
-
 func (b *HTTPBackend) RemoveNodes(ctx context.Context, ids []string) (int, error) {
-	var out removeReply
-	if err := b.call(ctx, http.MethodPost, "/v1/migrate/remove", migrateWire{Nodes: ids}, &out); err != nil {
+	var out wire.RemoveResponse
+	if err := b.call(ctx, http.MethodPost, "/v1/migrate/remove", wire.NodeList{Nodes: ids}, &out); err != nil {
 		return 0, err
 	}
 	return out.Removed, nil

@@ -10,6 +10,7 @@ import (
 
 	"rushprobe/internal/fleet"
 	"rushprobe/internal/telemetry"
+	"rushprobe/internal/wire"
 )
 
 // shardState is the router's bookkeeping for one attached shard.
@@ -366,6 +367,11 @@ func (r *Router) Stats(ctx context.Context) (fleet.Stats, error) {
 	if err != nil {
 		return fleet.Stats{}, err
 	}
+	return SumStats(per), nil
+}
+
+// SumStats adds up per-shard counters into one fleet-wide view.
+func SumStats(per map[string]fleet.Stats) fleet.Stats {
 	var total fleet.Stats
 	for _, s := range per {
 		total.Nodes += s.Nodes
@@ -377,7 +383,7 @@ func (r *Router) Stats(ctx context.Context) (fleet.Stats, error) {
 		total.CachedPlans += s.CachedPlans
 		total.DriftEvents += s.DriftEvents
 	}
-	return total, nil
+	return total
 }
 
 // ShardStats gathers per-shard counters concurrently. Shards that fail
@@ -459,28 +465,6 @@ func (r *Router) Collect(e *telemetry.Exposition) {
 		"Schedule requests routed to each shard since router start.", "shard", sched)
 }
 
-// MoveReport is one (from, to) slice of a completed rebalance.
-type MoveReport struct {
-	From  string `json:"from"`
-	To    string `json:"to"`
-	Nodes int    `json:"nodes"`
-}
-
-// RebalanceReport summarizes a committed rebalance.
-type RebalanceReport struct {
-	// Shards is the membership after the change.
-	Shards []string `json:"shards"`
-	// Moved is the total number of nodes handed off.
-	Moved int `json:"moved"`
-	// Moves breaks Moved down per (from, to) pair.
-	Moves []MoveReport `json:"moves,omitempty"`
-	// CleanupErrors lists post-commit removal failures. The flip has
-	// already happened, so these leave unreachable stale copies on old
-	// owners (re-running Rebalance converges them away); they do not
-	// fail the rebalance.
-	CleanupErrors []string `json:"cleanupErrors,omitempty"`
-}
-
 // Rebalance changes the ring membership — attaching every shard in
 // add, detaching every name in remove — with a drain/handoff migration
 // so displaced nodes keep their learned state. The steps:
@@ -505,7 +489,7 @@ type RebalanceReport struct {
 // converges — imports overwrite), and after it the new owners hold
 // byte-identical learned state, so every pre-existing node's schedule
 // survives the move.
-func (r *Router) Rebalance(ctx context.Context, add map[string]Backend, remove []string) (*RebalanceReport, error) {
+func (r *Router) Rebalance(ctx context.Context, add map[string]Backend, remove []string) (*wire.RebalanceReport, error) {
 	r.rebalanceMu.Lock()
 	defer r.rebalanceMu.Unlock()
 
@@ -639,10 +623,10 @@ func (r *Router) Rebalance(ctx context.Context, add map[string]Backend, remove [
 
 	// Step 5: cleanup. The handles in current still reach detached
 	// shards, so drained shards get cleaned too.
-	report := &RebalanceReport{Shards: newMembers}
+	report := &wire.RebalanceReport{Shards: newMembers}
 	for _, mv := range moves {
 		report.Moved += len(mv.Keys)
-		report.Moves = append(report.Moves, MoveReport{From: mv.From, To: mv.To, Nodes: len(mv.Keys)})
+		report.Moves = append(report.Moves, wire.MoveReport{From: mv.From, To: mv.To, Nodes: len(mv.Keys)})
 		if _, err := current[mv.From].backend.RemoveNodes(ctx, mv.Keys); err != nil {
 			report.CleanupErrors = append(report.CleanupErrors,
 				fmt.Sprintf("remove %d nodes from shard %q: %v", len(mv.Keys), mv.From, err))

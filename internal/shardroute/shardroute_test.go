@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"rushprobe/internal/fleet"
 	"rushprobe/internal/scenario"
 	"rushprobe/internal/telemetry"
+	"rushprobe/internal/wire"
 )
 
 func newShardFleet(t testing.TB) *fleet.Fleet {
@@ -446,79 +449,72 @@ func (d *shardDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(status)
 		_ = json.NewEncoder(w).Encode(v)
 	}
+	fail := func(status int, err string) {
+		writeJSON(status, wire.ErrorResponse{Error: err})
+	}
 	if d.failWith != "" {
-		writeJSON(http.StatusInternalServerError, map[string]string{"error": d.failWith})
+		fail(http.StatusInternalServerError, d.failWith)
 		return
 	}
 	switch {
 	case r.URL.Path == "/v1/observe":
-		var req struct {
-			Observations []fleet.Observation `json:"observations"`
-		}
+		var req wire.ObserveRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(http.StatusBadRequest, map[string]string{"error": err.Error()})
+			fail(http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(http.StatusOK, map[string]int{
-			"received": len(req.Observations),
-			"accepted": d.f.Observe(req.Observations),
+		writeJSON(http.StatusOK, wire.ObserveResponse{
+			Received: len(req.Observations),
+			Accepted: d.f.Observe(req.Observations),
 		})
 	case strings.HasPrefix(r.URL.Path, "/v1/schedule/"):
 		node := strings.TrimPrefix(r.URL.Path, "/v1/schedule/")
 		sched, err := d.f.Schedule(node)
 		if err != nil {
-			writeJSON(http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			fail(http.StatusInternalServerError, err.Error())
 			return
 		}
-		// Daemon shape: node field plus the schedule embedded flat.
-		writeJSON(http.StatusOK, struct {
-			Node string `json:"node"`
-			*fleet.Schedule
-		}{node, sched})
+		writeJSON(http.StatusOK, wire.ScheduleResponse{Node: node, Schedule: sched})
 	case r.URL.Path == "/v1/schedules":
-		var req struct {
-			Nodes []string `json:"nodes"`
-		}
+		var req wire.NodeList
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(http.StatusBadRequest, map[string]string{"error": err.Error()})
+			fail(http.StatusBadRequest, err.Error())
 			return
 		}
 		scheds, err := d.f.ScheduleBatch(req.Nodes)
 		if err != nil {
-			writeJSON(http.StatusInternalServerError, map[string]string{"error": err.Error()})
+			fail(http.StatusInternalServerError, err.Error())
 			return
 		}
-		writeJSON(http.StatusOK, map[string]any{"schedules": scheds})
+		writeJSON(http.StatusOK, wire.SchedulesResponse{Schedules: scheds})
 	case strings.HasPrefix(r.URL.Path, "/v1/strategy/"):
 		node := strings.TrimPrefix(r.URL.Path, "/v1/strategy/")
-		var req struct {
-			Strategy string `json:"strategy"`
-		}
+		var req wire.StrategyRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(http.StatusBadRequest, map[string]string{"error": err.Error()})
+			fail(http.StatusBadRequest, err.Error())
 			return
 		}
 		inForce, err := d.f.SetStrategy(node, req.Strategy)
 		if err != nil {
-			writeJSON(http.StatusBadRequest, map[string]string{"error": err.Error()})
+			fail(http.StatusBadRequest, err.Error())
 			return
 		}
-		writeJSON(http.StatusOK, map[string]string{"node": node, "strategy": inForce})
+		writeJSON(http.StatusOK, wire.StrategyResponse{Node: node, Strategy: inForce})
 	case strings.HasPrefix(r.URL.Path, "/v1/profile/"):
 		node := strings.TrimPrefix(r.URL.Path, "/v1/profile/")
 		prof, err := d.f.Profile(node)
 		if err != nil {
-			writeJSON(http.StatusNotFound, map[string]string{"error": err.Error()})
+			fail(http.StatusInternalServerError, err.Error())
 			return
 		}
 		writeJSON(http.StatusOK, prof)
 	case r.URL.Path == "/v1/healthz":
-		writeJSON(http.StatusOK, d.f.Stats())
+		writeJSON(http.StatusOK, wire.HealthResponse{Status: "ok", Stats: d.f.Stats()})
 	case r.URL.Path == "/v1/snapshot":
 		d.persisted++
-		writeJSON(http.StatusOK, map[string]bool{"ok": true})
+		writeJSON(http.StatusOK, wire.SnapshotResponse{Nodes: d.f.Stats().Nodes})
 	default:
-		writeJSON(http.StatusNotFound, map[string]string{"error": "unknown path " + r.URL.Path})
+		fail(http.StatusNotFound, "unknown path "+r.URL.Path)
 	}
 }
 
@@ -629,6 +625,82 @@ func TestRouterSurfacesShardErrors(t *testing.T) {
 	}
 	if err := rt.PersistSnapshots(ctx); err == nil {
 		t.Fatal("snapshot fan-out against a failing shard succeeded")
+	}
+}
+
+// TestHTTPBackendForwardsRequestID pins the router hop's request-ID
+// propagation: every HTTPBackend call, the binary handoff calls
+// included, carries the context's request ID as X-Request-ID, so a
+// shard's spans share the ID of the router span that caused them.
+func TestHTTPBackendForwardsRequestID(t *testing.T) {
+	replies := map[string]string{
+		"/v1/observe":        `{"received":1,"accepted":1}`,
+		"/v1/schedule/n":     `{"node":"n","mechanism":"SNIP-AT"}`,
+		"/v1/schedules":      `{"schedules":[{}]}`,
+		"/v1/strategy/n":     `{"node":"n","strategy":"SNIP-RH"}`,
+		"/v1/profile/n":      `{"node":"n"}`,
+		"/v1/healthz":        `{}`,
+		"/v1/snapshot":       `{}`,
+		"/v1/nodes":          `{"nodes":[]}`,
+		"/v1/migrate/export": `frames`,
+		"/v1/migrate/import": `{"imported":0}`,
+		"/v1/migrate/remove": `{"removed":0}`,
+	}
+	var mu sync.Mutex
+	seen := map[string]string{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.URL.Path] = r.Header.Get(wire.RequestIDHeader)
+		mu.Unlock()
+		_, _ = w.Write([]byte(replies[r.URL.Path]))
+	}))
+	t.Cleanup(srv.Close)
+	b := &HTTPBackend{BaseURL: srv.URL}
+	ctx := telemetry.WithRequestID(context.Background(), "req-42")
+	calls := []error{
+		second(b.Observe(ctx, []fleet.Observation{{Node: "n", Time: 1, Length: 1, Uploaded: -1}})),
+		second(b.Schedule(ctx, "n")),
+		second(b.ScheduleBatch(ctx, []string{"n"})),
+		second(b.SetStrategy(ctx, "n", "rh")),
+		second(b.Profile(ctx, "n")),
+		second(b.Stats(ctx)),
+		b.PersistSnapshot(ctx),
+		second(b.ListNodes(ctx)),
+		second(b.ExportNodes(ctx, []string{"n"})),
+		second(b.ImportFrames(ctx, []byte("frames"))),
+		second(b.RemoveNodes(ctx, []string{"n"})),
+	}
+	for i, err := range calls {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	for path := range replies {
+		if got := seen[path]; got != "req-42" {
+			t.Errorf("%s carried X-Request-ID %q, want req-42", path, got)
+		}
+	}
+}
+
+// second returns the error of a two-valued call.
+func second[T any](_ T, err error) error { return err }
+
+// TestHTTPBackendStatusError checks a shard's non-2xx reply surfaces as
+// a *StatusError carrying the shard's status and its own message, with
+// the error text naming the call.
+func TestHTTPBackendStatusError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadRequest)
+		_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: "strategy: unknown"})
+	}))
+	t.Cleanup(srv.Close)
+	_, err := (&HTTPBackend{BaseURL: srv.URL}).SetStrategy(context.Background(), "n", "bogus")
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || se.Message != "strategy: unknown" {
+		t.Fatalf("error %v (%T), want a 400 StatusError with the shard's message", err, err)
+	}
+	if want := "shardroute: POST /v1/strategy/n: HTTP 400: strategy: unknown"; err.Error() != want {
+		t.Fatalf("error text %q, want %q", err, want)
 	}
 }
 

@@ -1,8 +1,9 @@
-// Package wire owns the /v1 observe route's wire format: the request
-// and response bodies of POST /v1/observe, their decoder, and the
-// escaping of node IDs into /v1/<verb>/{node} paths. The daemon, the
-// shard router and the router's HTTP backend all speak it through this
-// package, so one format has one implementation.
+// Package wire owns the /v1 API's wire format: every request and
+// response body (api.go), the observe body's decoder, the escaping of
+// node IDs into /v1/<verb>/{node} paths, and the request-ID header. The
+// daemon in both of its modes, the router's HTTP backend and the load
+// generator all speak it through this package, so each shape is
+// declared once.
 //
 // # Observe bodies
 //
