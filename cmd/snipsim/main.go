@@ -15,19 +15,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rushprobe"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "snipsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("snipsim", flag.ContinueOnError)
 	var (
 		mech       = fs.String("mechanism", "rh", "scheduling mechanism: at, opt, rh, adaptive")
@@ -57,7 +58,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-12s %s\n", name, desc)
+			fmt.Fprintf(stdout, "%-12s %s\n", name, desc)
 		}
 		return nil
 	}
@@ -100,15 +101,15 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("fleet strategy:   %s\n", sum.Strategy)
-		fmt.Printf("population:       %d nodes x %d epochs (%d drifted)\n", sum.Nodes, sum.Epochs, sum.DriftNodes)
-		fmt.Printf("plan cache:       %d solves, %d hits, %d distinct plans served\n",
+		fmt.Fprintf(stdout, "fleet strategy:   %s\n", sum.Strategy)
+		fmt.Fprintf(stdout, "population:       %d nodes x %d epochs (%d drifted)\n", sum.Nodes, sum.Epochs, sum.DriftNodes)
+		fmt.Fprintf(stdout, "plan cache:       %d solves, %d hits, %d distinct plans served\n",
 			sum.Stats.PlanSolves, sum.Stats.PlanCacheHits, sum.DistinctPlans)
-		fmt.Printf("observations:     %d accepted, %d stale, %d invalid\n",
+		fmt.Fprintf(stdout, "observations:     %d accepted, %d stale, %d invalid\n",
 			sum.Stats.Observations, sum.Stats.Stale, sum.Stats.Invalid)
-		fmt.Println("per-epoch fleet means (closed loop vs oracle):")
+		fmt.Fprintln(stdout, "per-epoch fleet means (closed loop vs oracle):")
 		for _, p := range sum.PerEpoch {
-			fmt.Printf("  epoch %2d: zeta %7.3f s (oracle %7.3f, x%.3f)  phi %7.3f s (oracle %7.3f, x%.3f)\n",
+			fmt.Fprintf(stdout, "  epoch %2d: zeta %7.3f s (oracle %7.3f, x%.3f)  phi %7.3f s (oracle %7.3f, x%.3f)\n",
 				p.Epoch, p.Zeta, p.OracleZeta, p.ZetaRatio, p.Phi, p.OraclePhi, p.PhiRatio)
 		}
 		return nil
@@ -124,14 +125,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("mechanism:        %s\n", rep.Mechanism)
-		fmt.Printf("replications:     %d x %d epochs\n", rep.Replications, *epochs)
-		fmt.Printf("zeta (probed):    %.3f s/epoch (target %.3f, ±%.3f across replications)\n", rep.Zeta, *target, rep.ZetaCI95)
-		fmt.Printf("phi (probing):    %.3f s/epoch (budget %.3f, ±%.3f across replications)\n", rep.Phi, sc.PhiMax(), rep.PhiCI95)
-		fmt.Printf("rho (cost/unit):  %.3f\n", rep.Rho)
+		fmt.Fprintf(stdout, "mechanism:        %s\n", rep.Mechanism)
+		fmt.Fprintf(stdout, "replications:     %d x %d epochs\n", rep.Replications, *epochs)
+		fmt.Fprintf(stdout, "zeta (probed):    %.3f s/epoch (target %.3f, ±%.3f across replications)\n", rep.Zeta, *target, rep.ZetaCI95)
+		fmt.Fprintf(stdout, "phi (probing):    %.3f s/epoch (budget %.3f, ±%.3f across replications)\n", rep.Phi, sc.PhiMax(), rep.PhiCI95)
+		fmt.Fprintf(stdout, "rho (cost/unit):  %.3f\n", rep.Rho)
 		if *perEpoch {
 			for i, r := range rep.Runs {
-				fmt.Printf("  replication %2d: zeta = %.3f s, phi = %.3f s\n", i, r.Zeta, r.Phi)
+				fmt.Fprintf(stdout, "  replication %2d: zeta = %.3f s, phi = %.3f s\n", i, r.Zeta, r.Phi)
 			}
 		}
 		return nil
@@ -145,16 +146,16 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("mechanism:        %s\n", sum.Mechanism)
-	fmt.Printf("epochs:           %d\n", sum.Epochs)
-	fmt.Printf("zeta (probed):    %.3f s/epoch (target %.3f, ±%.3f)\n", sum.Zeta, *target, sum.ZetaCI95)
-	fmt.Printf("phi (probing):    %.3f s/epoch (budget %.3f, ±%.3f)\n", sum.Phi, sc.PhiMax(), sum.PhiCI95)
-	fmt.Printf("rho (cost/unit):  %.3f\n", sum.Rho)
-	fmt.Printf("uploaded:         %.0f bytes/epoch\n", sum.UploadedBytes)
-	fmt.Printf("contacts:         %.1f arrived, %.1f probed per epoch\n", sum.ContactsArrived, sum.ContactsProbed)
+	fmt.Fprintf(stdout, "mechanism:        %s\n", sum.Mechanism)
+	fmt.Fprintf(stdout, "epochs:           %d\n", sum.Epochs)
+	fmt.Fprintf(stdout, "zeta (probed):    %.3f s/epoch (target %.3f, ±%.3f)\n", sum.Zeta, *target, sum.ZetaCI95)
+	fmt.Fprintf(stdout, "phi (probing):    %.3f s/epoch (budget %.3f, ±%.3f)\n", sum.Phi, sc.PhiMax(), sum.PhiCI95)
+	fmt.Fprintf(stdout, "rho (cost/unit):  %.3f\n", sum.Rho)
+	fmt.Fprintf(stdout, "uploaded:         %.0f bytes/epoch\n", sum.UploadedBytes)
+	fmt.Fprintf(stdout, "contacts:         %.1f arrived, %.1f probed per epoch\n", sum.ContactsArrived, sum.ContactsProbed)
 	if *perEpoch {
 		for i, z := range sum.PerEpochZeta {
-			fmt.Printf("  epoch %2d: zeta = %.3f s\n", i, z)
+			fmt.Fprintf(stdout, "  epoch %2d: zeta = %.3f s\n", i, z)
 		}
 	}
 	return nil
