@@ -369,8 +369,8 @@ func (d *DriftTracker) ObserveEpoch(learned []bool) bool {
 // ContactLengthState is the serializable state of a ContactLength
 // estimator.
 type ContactLengthState struct {
-	Prior float64         `json:"prior"`
-	EWMA  stats.EWMAState `json:"ewma"`
+	Prior float64
+	EWMA  stats.EWMAState
 }
 
 // State exports the estimator for persistence.
@@ -391,8 +391,8 @@ func RestoreContactLength(s ContactLengthState) (ContactLength, error) {
 // UploadAmountState is the serializable state of an UploadAmount
 // estimator.
 type UploadAmountState struct {
-	Prior float64         `json:"prior"`
-	EWMA  stats.EWMAState `json:"ewma"`
+	Prior float64
+	EWMA  stats.EWMAState
 }
 
 // State exports the estimator for persistence.
@@ -414,10 +414,10 @@ func RestoreUploadAmount(s UploadAmountState) (UploadAmount, error) {
 // per-slot smoothed capacities, the current epoch's accumulator, and the
 // epoch count. The slot count is implied by the slice lengths.
 type RushHourState struct {
-	RushSlots int               `json:"rushSlots"`
-	Epochs    int               `json:"epochs"`
-	EpochCap  []float64         `json:"epochCap"`
-	Slots     []stats.EWMAState `json:"slots"`
+	RushSlots int
+	Epochs    int
+	EpochCap  []float64
+	Slots     []stats.EWMAState
 }
 
 // State exports the learner for persistence.
@@ -433,28 +433,6 @@ func (l *RushHourLearner) State() RushHourState {
 		s.Slots[i] = l.perEpoch.State(i)
 	}
 	return s
-}
-
-// RestoreRushHourLearner rebuilds a learner from exported state.
-func RestoreRushHourLearner(s RushHourState) (*RushHourLearner, error) {
-	if len(s.Slots) != len(s.EpochCap) {
-		return nil, fmt.Errorf("learn: rush-hour state has %d slot averages but %d accumulators", len(s.Slots), len(s.EpochCap))
-	}
-	if s.Epochs < 0 {
-		return nil, fmt.Errorf("learn: rush-hour state has negative epoch count %d", s.Epochs)
-	}
-	l, err := NewRushHourLearner(len(s.Slots), s.RushSlots)
-	if err != nil {
-		return nil, err
-	}
-	copy(l.epochCap, s.EpochCap)
-	for i := range s.Slots {
-		if err := l.perEpoch.SetState(i, s.Slots[i]); err != nil {
-			return nil, fmt.Errorf("learn: rush-hour slot %d: %w", i, err)
-		}
-	}
-	l.epochs = s.Epochs
-	return l, nil
 }
 
 // RelativeError returns |est-actual|/actual, or +Inf when actual is 0 —

@@ -1,10 +1,10 @@
 package learn
 
 import (
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
-
-	"rushprobe/internal/stats"
 )
 
 func TestContactLengthPrior(t *testing.T) {
@@ -413,6 +413,9 @@ func TestRushHourLearnerReRanksAfterPatternShift(t *testing.T) {
 	t.Logf("re-ranked after %d epochs", converged)
 }
 
+// TestRushHourLearnerStateRoundTrip restores a learner the way the
+// fleet does, through its packed record, and checks that the restored
+// learner evolves exactly like the original.
 func TestRushHourLearnerStateRoundTrip(t *testing.T) {
 	l, err := NewRushHourLearner(24, 4)
 	if err != nil {
@@ -426,7 +429,11 @@ func TestRushHourLearnerStateRoundTrip(t *testing.T) {
 	l.ObserveContact(7, 5)
 	l.ObserveContact(12, 2)
 
-	back, err := RestoreRushHourLearner(l.State())
+	rec, err := AppendRecord(nil, NewContactLength(2), NewUploadAmount(512), l)
+	if err != nil {
+		t.Fatalf("record: %v", err)
+	}
+	_, _, back, err := RestoreRecord(rec)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -447,15 +454,55 @@ func TestRushHourLearnerStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRestoreRushHourLearnerRejectsInconsistent covers the learner and
+// estimator states RestoreRecord must refuse beyond the header and size
+// checks of TestProfileRecordRejects, and the learner AppendRecord
+// cannot encode.
 func TestRestoreRushHourLearnerRejectsInconsistent(t *testing.T) {
-	if _, err := RestoreRushHourLearner(RushHourState{RushSlots: 1, EpochCap: []float64{0, 0}, Slots: make([]stats.EWMAState, 3)}); err == nil {
-		t.Error("mismatched slice lengths should be rejected")
+	// Six slots, one lane out of lockstep: the explicit layout, whose
+	// seeded bitset has two unused high bits.
+	rec := liveRecord(3, 6, 2, 5)
+	rec.Learner.Slots[2].Count++
+	explicit, err := rec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RestoreRushHourLearner(RushHourState{RushSlots: 5, EpochCap: []float64{0, 0}, Slots: make([]stats.EWMAState, 2)}); err == nil {
-		t.Error("rushSlots beyond the slot count should be rejected")
+	if _, _, _, err := RestoreRecord(explicit); err != nil {
+		t.Fatalf("valid explicit record rejected: %v", err)
 	}
-	if _, err := RestoreRushHourLearner(RushHourState{RushSlots: 1, Epochs: -1, EpochCap: []float64{0}, Slots: make([]stats.EWMAState, 1)}); err == nil {
-		t.Error("negative epoch count should be rejected")
+	countAt := recordHeaderSize + 2*recordScalarSize + 6*16
+	mutate := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), explicit...)
+		f(b)
+		return b
+	}
+	cases := map[string]struct {
+		data []byte
+		want string
+	}{
+		"lane seeded with zero samples": {mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[countAt+4*2:], 0)
+		}), "slot 2 seeded with zero samples"},
+		"stray seeded bits": {mutate(func(b []byte) { b[len(b)-1] |= 0x80 }), "stray bits"},
+		"explicit layout for lockstep lanes": {mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[countAt+4*2:], 5)
+		}), "non-canonical"},
+		"estimator seeded with zero samples": {mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[recordHeaderSize+16:], 0)
+		}), "seeded with zero samples"},
+	}
+	for name, c := range cases {
+		if _, _, _, err := RestoreRecord(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, c.want)
+		}
+	}
+
+	wide, err := NewRushHourLearner(MaxRecordSlots+1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AppendRecord(nil, NewContactLength(1), NewUploadAmount(1), wide); err == nil {
+		t.Errorf("AppendRecord encoded a %d-slot learner, beyond MaxRecordSlots", MaxRecordSlots+1)
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 
 // ProfileRecord bundles the three estimator states of one node —
 // contact length, upload amount, rush-hour learner — behind a packed
-// fixed-size binary encoding. It is the unit the fleet's binary
-// snapshot log persists per node: where the JSON form spends ~19 bytes
-// per float and repeats field names per slot, the record stores raw
-// float64 bits and squeezes the per-slot EWMA bookkeeping down to the
-// lockstep-uniform common case, landing around 440 bytes for a 24-slot
-// deployment against ~2 KB of JSON.
+// fixed-size binary encoding. The record is the unit the fleet's binary
+// snapshot log persists per node: it stores raw float64 bits and
+// squeezes the per-slot EWMA bookkeeping down to the lockstep-uniform
+// common case, landing around 440 bytes for a 24-slot deployment. The
+// fleet writes records with AppendRecord and reads them with
+// RestoreRecord; ProfileRecord's own encoder is the reference the
+// fuzzer checks that fast path against.
 //
 // The encoding is canonical and lossless: every state encodes to
 // exactly one byte string, and decoding it back yields bit-identical

@@ -65,14 +65,11 @@ func (e *EWMA) Reset() {
 }
 
 // EWMAState is the serializable state of an EWMA: everything except the
-// weight, which the owning estimator fixes at construction. Float64
-// values survive a JSON round-trip exactly (encoding/json emits the
-// shortest representation that parses back to the same bits), so a
-// snapshot/restore cycle is bit-deterministic.
+// weight, which the owning estimator fixes at construction.
 type EWMAState struct {
-	Value  float64 `json:"value"`
-	Count  int     `json:"count"`
-	Seeded bool    `json:"seeded,omitempty"`
+	Value  float64
+	Count  int
+	Seeded bool
 }
 
 // State exports the EWMA's current state.
