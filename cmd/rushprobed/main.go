@@ -2,7 +2,7 @@
 // ingests batched contact observations from sensor nodes, maintains
 // per-node rush-hour profiles, and serves each node its current probing
 // schedule (bootstrap SNIP-AT until enough epochs are learned, then the
-// strategy selected with -mechanism, overridable per node via
+// strategy selected with -strategy, overridable per node via
 // POST /v1/strategy/{node}).
 //
 // It runs in one of two modes with one handler set. As a shard (the
@@ -104,7 +104,7 @@ func run(args []string, out io.Writer) error {
 		budget     = fs.Float64("budget-fraction", 1.0/1000, "energy budget as a fraction of the epoch")
 		bootstrap  = fs.Int("bootstrap-epochs", 3, "epochs of SNIP-AT bootstrap before serving learned plans")
 		shards     = fs.Int("shards", 16, "profile store shard count")
-		mechanism  = fs.String("mechanism", string(rushprobe.SNIPOPT), "default strategy served after bootstrap: any registered name (see GET /v1/strategies)")
+		strat      = fs.String("strategy", rushprobe.SNIPOPT, "default strategy served after bootstrap: any registered name or alias (see GET /v1/strategies)")
 		snaplog    = fs.String("snaplog", "", "binary snapshot log: restored at startup, dirty-node deltas appended every -snaplog-interval, compacted on overflow/shutdown/POST /v1/snapshot")
 		snaplogInt = fs.Duration("snaplog-interval", 30*time.Second, "how often to append dirty-node deltas to -snaplog (0 disables the loop)")
 		route      = fs.String("route", "", "router mode: comma-separated shard base URLs; the daemon serves the same API by consistent-hash scatter-gather over the shards instead of a local fleet")
@@ -150,7 +150,7 @@ func run(args []string, out io.Writer) error {
 			rushprobe.Roadside(rushprobe.WithZetaTarget(*zeta), rushprobe.WithBudgetFraction(*budget)),
 			rushprobe.WithBootstrapEpochs(*bootstrap),
 			rushprobe.WithShards(*shards),
-			rushprobe.WithFleetMechanism(rushprobe.Mechanism(*mechanism)),
+			rushprobe.WithFleetStrategy(*strat),
 			rushprobe.WithDriftDetector(*driftDet),
 			rushprobe.WithTelemetry(tel),
 		)
@@ -211,7 +211,7 @@ func run(args []string, out io.Writer) error {
 		if srv.router != nil {
 			logger.Info("routing", "addr", *addr, "shards", srv.router.Shards())
 		} else {
-			logger.Info("listening", "addr", *addr, "mechanism", *mechanism, "snaplog", *snaplog)
+			logger.Info("listening", "addr", *addr, "strategy", *strat, "snaplog", *snaplog)
 		}
 		if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
@@ -1177,7 +1177,7 @@ func smokeTest(srv *server, tracePath string, nodes int, opsURL string, out io.W
 		if sr.Schedule == nil || len(sr.Duty) == 0 {
 			return fmt.Errorf("smoke: node %s got an empty schedule", id)
 		}
-		if sr.Mechanism == string(rushprobe.SNIPAT) {
+		if sr.Mechanism == rushprobe.SNIPAT {
 			learned = false
 		}
 		if n == 0 {

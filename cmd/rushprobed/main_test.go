@@ -144,7 +144,7 @@ func TestEndToEndThousandNodesRestartFromSnapshot(t *testing.T) {
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatalf("schedule %s: %v", id, err)
 		}
-		if sr.Mechanism == string(rushprobe.SNIPOPT) {
+		if sr.Mechanism == rushprobe.SNIPOPT {
 			learned++
 		}
 	}
@@ -212,7 +212,7 @@ func TestColdNodeScheduleNever500s(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Mechanism != string(rushprobe.SNIPAT) {
+	if sr.Mechanism != rushprobe.SNIPAT {
 		t.Fatalf("cold node mechanism = %s, want bootstrap %s", sr.Mechanism, rushprobe.SNIPAT)
 	}
 	if len(sr.Duty) != 24 {
@@ -278,7 +278,7 @@ func TestStrategyEndpoint(t *testing.T) {
 	if err := json.Unmarshal(data, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Node != "n1" || sr.Strategy != string(rushprobe.SNIPRH) {
+	if sr.Node != "n1" || sr.Strategy != rushprobe.SNIPRH {
 		t.Fatalf("set strategy = %+v, want n1 serving %s", sr, rushprobe.SNIPRH)
 	}
 
@@ -290,7 +290,7 @@ func TestStrategyEndpoint(t *testing.T) {
 	if err := json.Unmarshal(readBody(t, schedResp), &sched); err != nil {
 		t.Fatal(err)
 	}
-	if sched.Mechanism != string(rushprobe.SNIPRH) {
+	if sched.Mechanism != rushprobe.SNIPRH {
 		t.Fatalf("schedule after override serves %s, want %s", sched.Mechanism, rushprobe.SNIPRH)
 	}
 
@@ -418,8 +418,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, io.Discard); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if err := run([]string{"-mechanism", "SNIP-XX"}, io.Discard); err == nil {
-		t.Error("bad mechanism accepted")
+	if err := run([]string{"-strategy", "SNIP-XX"}, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Errorf("bad strategy: err = %v, want an unknown-strategy error", err)
 	}
 	if err := run([]string{"-smoke", "-smoke-nodes", "0"}, io.Discard); err == nil {
 		t.Error("zero smoke nodes accepted")

@@ -194,7 +194,7 @@ func TestSnaplogTornTailRecoveredLoudly(t *testing.T) {
 	}
 
 	// Simulate a crash mid-append: a delta cut off halfway through.
-	if _, err := fa.SetStrategy(ids[0], string(rushprobe.SNIPRH)); err != nil {
+	if _, err := fa.SetStrategy(ids[0], rushprobe.SNIPRH); err != nil {
 		t.Fatal(err)
 	}
 	var delta bytes.Buffer
@@ -281,7 +281,7 @@ func TestSnaplogDeltaAppendAndCompaction(t *testing.T) {
 	// second pushes the tail past it and must trigger a compaction.
 	for round := 0; round < 2; round++ {
 		for _, id := range ids {
-			if _, err := f.SetStrategy(id, string(rushprobe.SNIPRH)); err != nil {
+			if _, err := f.SetStrategy(id, rushprobe.SNIPRH); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := f.SetStrategy(id, ""); err != nil {
@@ -549,7 +549,7 @@ func TestRouterModeEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(readBody(t, resp), &strat); err != nil {
 		t.Fatal(err)
 	}
-	if strat.Strategy != string(rushprobe.SNIPRH) {
+	if strat.Strategy != rushprobe.SNIPRH {
 		t.Fatalf("router strategy response %+v", strat)
 	}
 

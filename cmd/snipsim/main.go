@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	snipsim -mechanism rh -target 24 -budget-frac 0.001 -epochs 14
-//	snipsim -strategy SNIP-RH+AT -epochs 28    # any registered strategy
+//	snipsim -strategy rh -target 24 -budget-frac 0.001 -epochs 14
+//	snipsim -strategy SNIP-RH+AT -epochs 28    # any registered name or alias
 //	snipsim -fleet -fleet-nodes 100 -epochs 10 -fleet-drift 0.25
 //	snipsim -list-strategies
 package main
@@ -31,8 +31,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("snipsim", flag.ContinueOnError)
 	var (
-		mech       = fs.String("mechanism", "rh", "scheduling mechanism: at, opt, rh, adaptive")
-		strat      = fs.String("strategy", "", "registered strategy name or alias; overrides -mechanism (see -list-strategies)")
+		strat      = fs.String("strategy", "rh", "registered strategy name or alias, e.g. at, opt, rh, adaptive (see -list-strategies)")
 		listStrats = fs.Bool("list-strategies", false, "list registered probing strategies and exit")
 		target     = fs.Float64("target", 24, "probed-capacity target zeta_target in seconds per epoch")
 		budgetFrac = fs.Float64("budget-frac", 1.0/1000, "energy budget PhiMax as a fraction of the epoch")
@@ -62,23 +61,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	}
-	var mechanism rushprobe.Mechanism
-	switch *mech {
-	case "at":
-		mechanism = rushprobe.SNIPAT
-	case "opt":
-		mechanism = rushprobe.SNIPOPT
-	case "rh":
-		mechanism = rushprobe.SNIPRH
-	case "adaptive":
-		mechanism = rushprobe.SNIPAdaptiveRH
-	default:
-		return fmt.Errorf("unknown mechanism %q (at, opt, rh, adaptive)", *mech)
-	}
-	var stratOpts []rushprobe.SimOption
-	if *strat != "" {
-		stratOpts = append(stratOpts, rushprobe.WithStrategy(*strat))
-	}
 	sc := rushprobe.Roadside(
 		rushprobe.WithZetaTarget(*target),
 		rushprobe.WithBudgetFraction(*budgetFrac),
@@ -88,16 +70,16 @@ func run(args []string, stdout io.Writer) error {
 		if *reps > 1 {
 			return fmt.Errorf("-fleet runs one co-simulation (the population is the replication axis); drop -replications")
 		}
-		opts := append(stratOpts,
+		opts := []rushprobe.SimOption{
 			rushprobe.WithEpochs(*epochs),
 			rushprobe.WithSeed(*seed),
 			rushprobe.WithParallelism(*parallel),
 			rushprobe.WithNodes(*fleetNodes),
-		)
+		}
 		if *fleetDrift > 0 {
 			opts = append(opts, rushprobe.WithDrift(*fleetDrift, *driftEpoch, *driftBy))
 		}
-		sum, err := rushprobe.SimulateFleet(sc, mechanism, opts...)
+		sum, err := rushprobe.SimulateFleet(sc, *strat, opts...)
 		if err != nil {
 			return err
 		}
@@ -115,17 +97,15 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 	if *reps > 1 {
-		rep, err := rushprobe.SimulateReplications(sc, mechanism, *reps,
-			append(stratOpts,
-				rushprobe.WithEpochs(*epochs),
-				rushprobe.WithSeed(*seed),
-				rushprobe.WithParallelism(*parallel),
-			)...,
+		rep, err := rushprobe.SimulateReplications(sc, *strat, *reps,
+			rushprobe.WithEpochs(*epochs),
+			rushprobe.WithSeed(*seed),
+			rushprobe.WithParallelism(*parallel),
 		)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "mechanism:        %s\n", rep.Mechanism)
+		fmt.Fprintf(stdout, "mechanism:        %s\n", rep.Strategy)
 		fmt.Fprintf(stdout, "replications:     %d x %d epochs\n", rep.Replications, *epochs)
 		fmt.Fprintf(stdout, "zeta (probed):    %.3f s/epoch (target %.3f, ±%.3f across replications)\n", rep.Zeta, *target, rep.ZetaCI95)
 		fmt.Fprintf(stdout, "phi (probing):    %.3f s/epoch (budget %.3f, ±%.3f across replications)\n", rep.Phi, sc.PhiMax(), rep.PhiCI95)
@@ -137,16 +117,14 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	}
-	sum, err := rushprobe.Simulate(sc, mechanism,
-		append(stratOpts,
-			rushprobe.WithEpochs(*epochs),
-			rushprobe.WithSeed(*seed),
-		)...,
+	sum, err := rushprobe.Simulate(sc, *strat,
+		rushprobe.WithEpochs(*epochs),
+		rushprobe.WithSeed(*seed),
 	)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "mechanism:        %s\n", sum.Mechanism)
+	fmt.Fprintf(stdout, "mechanism:        %s\n", sum.Strategy)
 	fmt.Fprintf(stdout, "epochs:           %d\n", sum.Epochs)
 	fmt.Fprintf(stdout, "zeta (probed):    %.3f s/epoch (target %.3f, ±%.3f)\n", sum.Zeta, *target, sum.ZetaCI95)
 	fmt.Fprintf(stdout, "phi (probing):    %.3f s/epoch (budget %.3f, ±%.3f)\n", sum.Phi, sc.PhiMax(), sum.PhiCI95)

@@ -66,7 +66,7 @@ func main() {
 	}
 	fmt.Printf("  the plan probes in %d of %d weekly hours\n\n", active, len(plan.Duty))
 
-	for _, m := range []rushprobe.Mechanism{rushprobe.SNIPAT, rushprobe.SNIPRH} {
+	for _, m := range []string{rushprobe.SNIPAT, rushprobe.SNIPRH} {
 		sum, err := rushprobe.Simulate(sc, m,
 			rushprobe.WithEpochs(4), // four weeks
 			rushprobe.WithSeed(7),
@@ -75,7 +75,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8s zeta=%6.1f s/week  phi=%6.1f s/week  rho=%5.2f  uploaded=%.0f B/week\n",
-			sum.Mechanism, sum.Zeta, sum.Phi, sum.Rho, sum.UploadedBytes)
+			sum.Strategy, sum.Zeta, sum.Phi, sum.Rho, sum.UploadedBytes)
 	}
 	fmt.Println("\nSNIP-RH reads the meters with a fraction of SNIP-AT's probing energy")
 	fmt.Println("by concentrating on the morning meter-reader round and the commutes.")

@@ -1,5 +1,5 @@
 // Quickstart: build the paper's road-side scenario, compare the three
-// scheduling mechanisms analytically, then simulate SNIP-RH for two
+// probing strategies analytically, then simulate SNIP-RH for two
 // weeks and check that the analysis holds.
 package main
 
@@ -27,9 +27,9 @@ func main() {
 		name string
 		m    rushprobe.Metrics
 	}{
-		{name: "SNIP-AT", m: report.AT},
-		{name: "SNIP-OPT", m: report.OPT},
-		{name: "SNIP-RH", m: report.RH},
+		{name: rushprobe.SNIPAT, m: report.AT},
+		{name: rushprobe.SNIPOPT, m: report.OPT},
+		{name: rushprobe.SNIPRH, m: report.RH},
 	} {
 		fmt.Printf("  %-9s zeta=%6.2f s  phi=%6.2f s  rho=%5.2f  target met: %v\n",
 			row.name, row.m.Zeta, row.m.Phi, row.m.Rho, row.m.TargetMet)

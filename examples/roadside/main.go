@@ -41,7 +41,7 @@ func main() {
 				log.Fatal(err)
 			}
 			var simZ [3]float64
-			for i, m := range rushprobe.Mechanisms() {
+			for i, m := range []string{rushprobe.SNIPAT, rushprobe.SNIPOPT, rushprobe.SNIPRH} {
 				// 7 days keeps the example fast; the bench suite runs
 				// the full two weeks.
 				sum, err := rushprobe.Simulate(sc, m, rushprobe.WithEpochs(7), rushprobe.WithSeed(1))

@@ -56,14 +56,17 @@ func WithCapacityQuantum(q float64) FleetOption {
 	return func(c *fleet.Config) { c.CapacityQuantum = q }
 }
 
-// WithFleetMechanism selects the default strategy served after
-// bootstrap: any registered strategy name (see Strategies) cast to
-// Mechanism, default SNIPOPT. SNIPAT pins every node to the bootstrap
-// plan (a control setting). Individual nodes override the default with
+// WithFleetStrategy selects the default strategy served after
+// bootstrap: any registered strategy name or alias (see Strategies),
+// default SNIPOPT. SNIPAT pins every node to the bootstrap plan (a
+// control setting). Individual nodes override the default with
 // Fleet.SetStrategy.
-func WithFleetMechanism(m Mechanism) FleetOption {
-	return func(c *fleet.Config) { c.Mechanism = string(m) }
+func WithFleetStrategy(name string) FleetOption {
+	return func(c *fleet.Config) { c.Strategy = name }
 }
+
+// Deprecated: use WithFleetStrategy.
+func WithFleetMechanism(name string) FleetOption { return WithFleetStrategy(name) }
 
 // WithDriftDetector selects a streaming change-point detector watching
 // every node's per-epoch observation streams ("cusum" or

@@ -45,14 +45,14 @@ func TestFleetPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mechanism != string(SNIPOPT) {
+	if s.Mechanism != SNIPOPT {
 		t.Fatalf("mechanism = %s, want %s", s.Mechanism, SNIPOPT)
 	}
 	cold, err := f.Schedule("never-seen")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Mechanism != string(SNIPAT) {
+	if cold.Mechanism != SNIPAT {
 		t.Fatalf("cold mechanism = %s, want %s", cold.Mechanism, SNIPAT)
 	}
 	prof, err := f.Profile("node-1")
@@ -85,8 +85,10 @@ func TestFleetPublicAPI(t *testing.T) {
 	}
 }
 
+// TestFleetMechanismOption covers the fleet's default strategy option,
+// WithFleetStrategy, and its deprecated alias WithFleetMechanism.
 func TestFleetMechanismOption(t *testing.T) {
-	f, err := NewFleet(Roadside(), WithFleetMechanism(SNIPRH), WithBootstrapEpochs(1))
+	f, err := NewFleet(Roadside(), WithFleetStrategy(SNIPRH), WithBootstrapEpochs(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +97,13 @@ func TestFleetMechanismOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mechanism != string(SNIPRH) {
+	if s.Mechanism != SNIPRH {
 		t.Fatalf("mechanism = %s, want %s", s.Mechanism, SNIPRH)
 	}
 	// Any registered strategy is a valid fleet default — including the
-	// adaptive variant the pre-registry fleet rejected.
-	g, err := NewFleet(Roadside(), WithFleetMechanism(SNIPAdaptiveRH), WithBootstrapEpochs(1))
+	// adaptive variant the pre-registry fleet rejected — and an alias
+	// resolves to its canonical name.
+	g, err := NewFleet(Roadside(), WithFleetStrategy("adaptive"), WithBootstrapEpochs(1))
 	if err != nil {
 		t.Fatalf("registered strategy rejected as fleet default: %v", err)
 	}
@@ -109,11 +112,24 @@ func TestFleetMechanismOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gs.Mechanism != string(SNIPAdaptiveRH) {
+	if gs.Mechanism != SNIPAdaptiveRH {
 		t.Fatalf("mechanism = %s, want %s", gs.Mechanism, SNIPAdaptiveRH)
 	}
-	if _, err := NewFleet(Roadside(), WithFleetMechanism(Mechanism("SNIP-BOGUS"))); err == nil {
+	if _, err := NewFleet(Roadside(), WithFleetStrategy("SNIP-BOGUS")); err == nil {
 		t.Fatal("unregistered fleet strategy should be rejected")
+	}
+	// The deprecated name selects the same default.
+	h, err := NewFleet(Roadside(), WithFleetMechanism(SNIPRH), WithBootstrapEpochs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Observe(fleetObservations("n", 2))
+	hs, err := h.Schedule("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hs, s) {
+		t.Fatalf("WithFleetMechanism serves %+v, WithFleetStrategy %+v", hs, s)
 	}
 }
 
@@ -129,7 +145,7 @@ func TestFleetSetStrategy(t *testing.T) {
 	f.Observe(fleetObservations("a", 2))
 	f.Observe(fleetObservations("b", 2))
 
-	if got, err := f.SetStrategy("b", "rh"); err != nil || got != string(SNIPRH) {
+	if got, err := f.SetStrategy("b", "rh"); err != nil || got != SNIPRH {
 		t.Fatalf("SetStrategy(b, rh) = %q, %v; want %q", got, err, SNIPRH)
 	}
 	sa, err := f.Schedule("a")
@@ -140,7 +156,7 @@ func TestFleetSetStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.Mechanism != string(SNIPOPT) || sb.Mechanism != string(SNIPRH) {
+	if sa.Mechanism != SNIPOPT || sb.Mechanism != SNIPRH {
 		t.Fatalf("mechanisms = %s/%s, want %s/%s", sa.Mechanism, sb.Mechanism, SNIPOPT, SNIPRH)
 	}
 	// Same observations -> same learned fingerprint; the plans must
@@ -155,19 +171,19 @@ func TestFleetSetStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy != string(SNIPRH) {
+	if p.Strategy != SNIPRH {
 		t.Fatalf("profile strategy = %q, want %q", p.Strategy, SNIPRH)
 	}
 	// Clearing the override falls back to the fleet default and shares
 	// node a's cached plan.
-	if got, err := f.SetStrategy("b", ""); err != nil || got != string(SNIPOPT) {
+	if got, err := f.SetStrategy("b", ""); err != nil || got != SNIPOPT {
 		t.Fatalf("SetStrategy(b, \"\") = %q, %v; want %q", got, err, SNIPOPT)
 	}
 	sb2, err := f.Schedule("b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb2.Mechanism != string(SNIPOPT) {
+	if sb2.Mechanism != SNIPOPT {
 		t.Fatalf("cleared override serves %s, want %s", sb2.Mechanism, SNIPOPT)
 	}
 	if _, err := f.SetStrategy("b", "SNIP-BOGUS"); err == nil {
@@ -177,7 +193,7 @@ func TestFleetSetStrategy(t *testing.T) {
 	if _, err := f.SetStrategy("new-node", "rh"); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := f.Profile("new-node"); err != nil || p.Strategy != string(SNIPRH) {
+	if p, err := f.Profile("new-node"); err != nil || p.Strategy != SNIPRH {
 		t.Fatalf("pre-assigned node profile = %+v, %v", p, err)
 	}
 }
@@ -208,7 +224,7 @@ func TestFleetSnapshotKeepsStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mechanism != string(SNIPRH) {
+	if s.Mechanism != SNIPRH {
 		t.Fatalf("restored node serves %s, want %s", s.Mechanism, SNIPRH)
 	}
 }
@@ -249,7 +265,7 @@ func TestMetricsJSONInfRho(t *testing.T) {
 
 func TestSimSummaryJSONInfRho(t *testing.T) {
 	s := SimSummary{
-		Mechanism:    SNIPRH,
+		Strategy:     SNIPRH,
 		Epochs:       3,
 		Rho:          math.Inf(1),
 		PerEpochZeta: []float64{0, 0, 0},
@@ -257,6 +273,9 @@ func TestSimSummaryJSONInfRho(t *testing.T) {
 	data, err := json.Marshal(&s)
 	if err != nil {
 		t.Fatalf("marshal with +Inf Rho must not fail: %v", err)
+	}
+	if !bytes.Contains(data, []byte(`"Strategy":"SNIP-RH"`)) {
+		t.Fatalf("summary JSON %s lacks the Strategy key", data)
 	}
 	var back SimSummary
 	if err := json.Unmarshal(data, &back); err != nil {
@@ -272,7 +291,7 @@ func TestSimSummaryJSONInfRho(t *testing.T) {
 }
 
 func TestReplicatedSummaryJSONInfRho(t *testing.T) {
-	r := ReplicatedSummary{Mechanism: SNIPAT, Replications: 2, Rho: math.Inf(1)}
+	r := ReplicatedSummary{Strategy: SNIPAT, Replications: 2, Rho: math.Inf(1)}
 	data, err := json.Marshal(&r)
 	if err != nil {
 		t.Fatalf("marshal with +Inf Rho must not fail: %v", err)

@@ -81,15 +81,16 @@ type FleetStageTiming struct {
 // scenario, over the identical contact stream), giving per-epoch
 // convergence curves toward near-oracle energy and goodput.
 //
-// The mechanism (or a WithStrategy override) is the fleet's default
-// strategy; WithNodes sizes the population; WithEpochs, WithSeed, and
-// WithParallelism work as in Simulate; WithDriftDetection arms the
-// fleet's streaming change-point detector and fills the summary's
-// detection metrics. Output is deterministic for a fixed seed and
+// The strategy argument (any registered name or alias) is the fleet's
+// default strategy; WithNodes sizes the population; WithEpochs,
+// WithSeed, and WithParallelism work as in Simulate; WithDriftDetection
+// arms the fleet's streaming change-point detector and fills the
+// summary's detection metrics. Output is deterministic for a fixed seed and
 // bit-identical for every parallelism. WithWarmup and WithPatternShift
 // do not apply (drift is a population property — use WithDrift) and
-// are rejected.
-func SimulateFleet(s *Scenario, m Mechanism, opts ...SimOption) (*FleetSimSummary, error) {
+// are rejected, as is WithStrategy, which applies only to
+// RunExperiment.
+func SimulateFleet(s *Scenario, strategy string, opts ...SimOption) (*FleetSimSummary, error) {
 	if s == nil || s.inner == nil {
 		return nil, errors.New("rushprobe: nil scenario")
 	}
@@ -100,6 +101,9 @@ func SimulateFleet(s *Scenario, m Mechanism, opts ...SimOption) (*FleetSimSummar
 	if o.warmupSet || o.shiftSet {
 		return nil, errors.New("rushprobe: SimulateFleet takes no WithWarmup or WithPatternShift; population drift is configured with WithDrift")
 	}
+	if len(o.strategies) > 0 {
+		return nil, errors.New("rushprobe: WithStrategy applies only to RunExperiment; pass the strategy as the argument")
+	}
 	// An explicit zero must not silently become the default.
 	if o.nodesSet && o.nodes < 1 {
 		return nil, fmt.Errorf("rushprobe: population must be positive, got WithNodes(%d)", o.nodes)
@@ -107,19 +111,11 @@ func SimulateFleet(s *Scenario, m Mechanism, opts ...SimOption) (*FleetSimSummar
 	if o.epochsSet && o.epochs < 1 {
 		return nil, fmt.Errorf("rushprobe: epochs must be positive, got WithEpochs(%d)", o.epochs)
 	}
-	name := string(m)
-	switch len(o.strategies) {
-	case 0:
-	case 1:
-		name = o.strategies[0]
-	default:
-		return nil, fmt.Errorf("rushprobe: a fleet serves one default strategy; got %d WithStrategy options", len(o.strategies))
-	}
 	spec := fleetsim.Spec{
 		Base:        s.inner,
 		Nodes:       o.nodes,
 		Epochs:      o.epochs,
-		Strategy:    name,
+		Strategy:    strategy,
 		Seed:        o.seed,
 		Parallelism: o.parallelism,
 	}

@@ -1,5 +1,5 @@
 // Package analysis reproduces the paper's closed-form numerical results:
-// the motivation surface of Figure 4 and the per-mechanism curves of
+// the motivation surface of Figure 4 and the per-strategy curves of
 // Figures 5 and 6 (probed capacity zeta, probing energy Phi, and
 // per-unit cost rho as functions of the capacity target).
 //
@@ -13,15 +13,14 @@ import (
 	"math"
 
 	"rushprobe/internal/opt"
-	"rushprobe/internal/pool"
 	"rushprobe/internal/scenario"
 )
 
-// MechanismResult is one mechanism's analytical outcome for one target.
-type MechanismResult struct {
+// Result is one strategy's analytical outcome for one target.
+type Result struct {
 	// ZetaTarget is the requested probed capacity (s/epoch).
 	ZetaTarget float64
-	// Zeta is the probed capacity the mechanism achieves (s/epoch).
+	// Zeta is the probed capacity the strategy achieves (s/epoch).
 	Zeta float64
 	// Phi is the probing energy it spends (radio on-time, s/epoch).
 	Phi float64
@@ -31,12 +30,12 @@ type MechanismResult struct {
 	TargetMet bool
 }
 
-func newResult(target, zeta, phi float64) MechanismResult {
+func newResult(target, zeta, phi float64) Result {
 	rho := math.Inf(1)
 	if zeta > 0 {
 		rho = phi / zeta
 	}
-	return MechanismResult{
+	return Result{
 		ZetaTarget: target,
 		Zeta:       zeta,
 		Phi:        phi,
@@ -58,10 +57,10 @@ func ATDuty(sc *scenario.Scenario) (float64, error) {
 }
 
 // AT evaluates SNIP-AT analytically on the scenario.
-func AT(sc *scenario.Scenario) (MechanismResult, error) {
+func AT(sc *scenario.Scenario) (Result, error) {
 	ev, err := NewEvaluator(sc)
 	if err != nil {
-		return MechanismResult{}, err
+		return Result{}, err
 	}
 	return ev.AT(sc.ZetaTarget), nil
 }
@@ -73,10 +72,10 @@ func AT(sc *scenario.Scenario) (MechanismResult, error) {
 // Rush slots are consumed in chronological order, matching the node's
 // temporal behaviour over an epoch. (The consumption model itself lives
 // in Evaluator.RH; this is the one-shot form.)
-func RH(sc *scenario.Scenario) (MechanismResult, error) {
+func RH(sc *scenario.Scenario) (Result, error) {
 	ev, err := NewEvaluator(sc)
 	if err != nil {
-		return MechanismResult{}, err
+		return Result{}, err
 	}
 	return ev.RH(sc.ZetaTarget), nil
 }
@@ -114,61 +113,12 @@ func OPTPlan(sc *scenario.Scenario) (opt.Plan, error) {
 }
 
 // OPT evaluates SNIP-OPT analytically on the scenario.
-func OPT(sc *scenario.Scenario) (MechanismResult, error) {
+func OPT(sc *scenario.Scenario) (Result, error) {
 	plan, err := OPTPlan(sc)
 	if err != nil {
-		return MechanismResult{}, err
+		return Result{}, err
 	}
 	return newResult(sc.ZetaTarget, plan.Zeta, plan.Phi), nil
-}
-
-// Sweep holds one mechanism's results across a range of targets.
-type Sweep struct {
-	Mechanism string
-	Points    []MechanismResult
-}
-
-// SweepTargets evaluates all three mechanisms over the given targets on
-// the base scenario. This generates the data behind Figures 5 and 6
-// (and, with the simulation harness, 7 and 8). It uses the default
-// parallelism; see SweepTargetsParallel.
-func SweepTargets(base *scenario.Scenario, targets []float64) ([]Sweep, error) {
-	return SweepTargetsParallel(base, targets, 0)
-}
-
-// SweepTargetsParallel evaluates the sweep points concurrently across
-// at most parallelism workers (<= 0 means GOMAXPROCS). A shared
-// Evaluator memoizes the target-independent work — the optimizer's slot
-// curves are built once for the whole sweep — and points land in their
-// target's slot, so the tables are bit-identical for every parallelism
-// setting.
-func SweepTargetsParallel(base *scenario.Scenario, targets []float64, parallelism int) ([]Sweep, error) {
-	if len(targets) == 0 {
-		return nil, fmt.Errorf("analysis: no targets given")
-	}
-	ev, err := NewEvaluator(base)
-	if err != nil {
-		return nil, err
-	}
-	sweeps := []Sweep{
-		{Mechanism: "SNIP-AT", Points: make([]MechanismResult, len(targets))},
-		{Mechanism: "SNIP-OPT", Points: make([]MechanismResult, len(targets))},
-		{Mechanism: "SNIP-RH", Points: make([]MechanismResult, len(targets))},
-	}
-	err = pool.ForEach(len(targets), parallelism, func(i int) error {
-		at, op, rh, err := ev.Point(targets[i])
-		if err != nil {
-			return err
-		}
-		sweeps[0].Points[i] = at
-		sweeps[1].Points[i] = op
-		sweeps[2].Points[i] = rh
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sweeps, nil
 }
 
 // MotivationPoint is one sample of the Figure 4 surface.

@@ -189,43 +189,40 @@ func TestOPTBeatsRHBeyondCeiling(t *testing.T) {
 	}
 }
 
+// TestSweepTargetsShape sweeps Evaluator.Point over the paper's targets,
+// the way Figures 5 and 6 are built: every point of every strategy sits
+// at its own target with non-negative metrics.
 func TestSweepTargetsShape(t *testing.T) {
-	sweeps, err := SweepTargets(fixedRoadside(1.0/1000, 0), PaperTargets())
+	ev, err := NewEvaluator(fixedRoadside(1.0/1000, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sweeps) != 3 {
-		t.Fatalf("got %d sweeps", len(sweeps))
-	}
-	names := map[string]bool{}
-	for _, s := range sweeps {
-		names[s.Mechanism] = true
-		if len(s.Points) != len(PaperTargets()) {
-			t.Errorf("%s has %d points", s.Mechanism, len(s.Points))
+	for _, target := range PaperTargets() {
+		at, op, rh, err := ev.Point(target)
+		if err != nil {
+			t.Fatalf("target %v: %v", target, err)
 		}
-		for i, p := range s.Points {
-			if p.ZetaTarget != PaperTargets()[i] {
-				t.Errorf("%s point %d target %v", s.Mechanism, i, p.ZetaTarget)
+		for name, p := range map[string]Result{"AT": at, "OPT": op, "RH": rh} {
+			if p.ZetaTarget != target {
+				t.Errorf("%s point at target %v reports target %v", name, target, p.ZetaTarget)
 			}
 			if p.Zeta < 0 || p.Phi < 0 {
-				t.Errorf("%s point %d negative metrics", s.Mechanism, i)
+				t.Errorf("%s point at target %v has negative metrics", name, target)
 			}
 		}
-	}
-	for _, want := range []string{"SNIP-AT", "SNIP-OPT", "SNIP-RH"} {
-		if !names[want] {
-			t.Errorf("missing sweep for %s", want)
-		}
-	}
-	if _, err := SweepTargets(fixedRoadside(1.0/1000, 0), nil); err == nil {
-		t.Error("empty targets should error")
 	}
 }
 
 func TestSweepDoesNotMutateBase(t *testing.T) {
 	base := fixedRoadside(1.0/1000, 24)
-	if _, err := SweepTargets(base, PaperTargets()); err != nil {
+	ev, err := NewEvaluator(base)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, target := range PaperTargets() {
+		if _, _, _, err := ev.Point(target); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if base.ZetaTarget != 24 {
 		t.Errorf("base scenario mutated: ZetaTarget = %v", base.ZetaTarget)

@@ -10,7 +10,7 @@ import (
 	"rushprobe/internal/scenario"
 )
 
-// Evaluator amortizes the closed-form mechanism evaluations over a
+// Evaluator amortizes the closed-form strategy evaluations over a
 // sweep: everything that does not depend on the capacity target — the
 // per-slot processes, the epoch capacity totals, the mean contact
 // lengths, the SNIP-RH knee rates, and the optimizer's tabulated slot
@@ -129,7 +129,7 @@ func (e *Evaluator) atCapacity(d float64) float64 {
 }
 
 // AT evaluates SNIP-AT analytically at the target.
-func (e *Evaluator) AT(target float64) MechanismResult {
+func (e *Evaluator) AT(target float64) Result {
 	d := e.ATDuty(target)
 	return newResult(target, e.atCapacity(d), d*e.epochSeconds)
 }
@@ -145,17 +145,17 @@ func (e *Evaluator) OPTPlan(target float64) (opt.Plan, error) {
 }
 
 // OPT evaluates SNIP-OPT analytically at the target.
-func (e *Evaluator) OPT(target float64) (MechanismResult, error) {
+func (e *Evaluator) OPT(target float64) (Result, error) {
 	plan, err := e.OPTPlan(target)
 	if err != nil {
-		return MechanismResult{}, err
+		return Result{}, err
 	}
 	return newResult(target, plan.Zeta, plan.Phi), nil
 }
 
 // RH evaluates SNIP-RH analytically at the target (see RH for the
 // slot-consumption model).
-func (e *Evaluator) RH(target float64) MechanismResult {
+func (e *Evaluator) RH(target float64) Result {
 	if e.rushMeanLen <= 0 {
 		return newResult(target, 0, 0)
 	}
@@ -192,8 +192,8 @@ func (e *Evaluator) RH(target float64) MechanismResult {
 	return newResult(target, zeta, phi)
 }
 
-// Point evaluates all three mechanisms at one target.
-func (e *Evaluator) Point(target float64) (at, op, rh MechanismResult, err error) {
+// Point evaluates SNIP-AT, SNIP-OPT and SNIP-RH at one target.
+func (e *Evaluator) Point(target float64) (at, op, rh Result, err error) {
 	at = e.AT(target)
 	op, err = e.OPT(target)
 	if err != nil {

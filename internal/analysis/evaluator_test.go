@@ -99,23 +99,6 @@ func TestEvaluatorMatchesOneShotNormalLengths(t *testing.T) {
 	}
 }
 
-func TestSweepTargetsParallelDeterministic(t *testing.T) {
-	base := scenario.Roadside(scenario.WithFixedLengths(), scenario.WithBudgetFraction(1.0/1000))
-	serial, err := SweepTargetsParallel(base, PaperTargets(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 16} {
-		parallel, err := SweepTargetsParallel(base, PaperTargets(), workers)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("parallelism %d: sweep differs from serial", workers)
-		}
-	}
-}
-
 func TestEvaluatorScenarioCopies(t *testing.T) {
 	base := scenario.Roadside()
 	ev, err := NewEvaluator(base)

@@ -102,9 +102,6 @@ func NewBandit(cfg BanditConfig) (*Bandit, error) {
 	return b, nil
 }
 
-// Name returns "RL-BANDIT".
-func (b *Bandit) Name() string { return "RL-BANDIT" }
-
 // Decide probes at the arm chosen for the slot this epoch.
 func (b *Bandit) Decide(state core.NodeState) core.Decision {
 	if state.Slot < 0 || state.Slot >= b.cfg.Slots {

@@ -49,9 +49,6 @@ func TestBanditDecideUsesChosenArms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "RL-BANDIT" {
-		t.Errorf("name = %q", b.Name())
-	}
 	arms := cfg().Arms
 	for slot := 0; slot < 24; slot++ {
 		d := b.Decide(core.NodeState{Slot: slot})

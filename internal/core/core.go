@@ -61,10 +61,9 @@ type ProbeInfo struct {
 	UploadedBytes float64
 }
 
-// Scheduler is a SNIP scheduling mechanism.
+// Scheduler is the online half of a SNIP probing strategy. It carries
+// no name: the strategy registry (package strategy) names strategies.
 type Scheduler interface {
-	// Name identifies the mechanism in reports ("SNIP-AT", ...).
-	Name() string
 	// Decide returns the probing decision for the given node state.
 	Decide(state NodeState) Decision
 	// OnContactProbed feeds back a probed contact.
@@ -97,9 +96,6 @@ func NewAT(duty float64) (*AT, error) {
 	}
 	return &AT{duty: duty}, nil
 }
-
-// Name returns "SNIP-AT".
-func (a *AT) Name() string { return "SNIP-AT" }
 
 // Duty returns the configured duty cycle.
 func (a *AT) Duty() float64 { return a.duty }
@@ -168,9 +164,6 @@ func NewRH(cfg RHConfig) (*RH, error) {
 		upload: learn.NewUploadAmount(cfg.UploadPrior),
 	}, nil
 }
-
-// Name returns "SNIP-RH".
-func (r *RH) Name() string { return "SNIP-RH" }
 
 // LearnedContactLength exposes the current T̄contact estimate.
 func (r *RH) LearnedContactLength() float64 { return r.length.Mean() }
@@ -251,9 +244,6 @@ func NewOPTFollower(duties []float64, phiMax float64) (*OPTFollower, error) {
 	copy(plan, duties)
 	return &OPTFollower{duties: plan, phiMax: phiMax}, nil
 }
-
-// Name returns "SNIP-OPT".
-func (o *OPTFollower) Name() string { return "SNIP-OPT" }
 
 // Plan returns a copy of the per-slot duties.
 func (o *OPTFollower) Plan() []float64 {
@@ -351,9 +341,6 @@ func NewAdaptiveRH(cfg AdaptiveConfig) (*AdaptiveRH, error) {
 	}
 	return &AdaptiveRH{cfg: cfg, rh: rh, learner: learner}, nil
 }
-
-// Name returns "SNIP-RH+AT".
-func (a *AdaptiveRH) Name() string { return "SNIP-RH+AT" }
 
 // Mask returns the rush-hour mask currently in force (a copy).
 func (a *AdaptiveRH) Mask() []bool {

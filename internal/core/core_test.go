@@ -56,9 +56,6 @@ func TestATAlwaysActive(t *testing.T) {
 			t.Fatalf("AT must always probe at fixed duty, got %+v at slot %d", d, slot)
 		}
 	}
-	if at.Name() != "SNIP-AT" {
-		t.Errorf("name = %q", at.Name())
-	}
 	if at.Duty() != 0.001 {
 		t.Errorf("duty = %v", at.Duty())
 	}
@@ -250,9 +247,6 @@ func TestOPTFollowerFollowsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Name() != "SNIP-OPT" {
-		t.Errorf("name = %q", o.Name())
-	}
 	for slot := 0; slot < 24; slot++ {
 		d := o.Decide(NodeState{Slot: slot})
 		if slot == 7 || slot == 8 {
@@ -337,9 +331,6 @@ func TestAdaptiveRHBootstrapsThenFocuses(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a.Name() != "SNIP-RH+AT" {
-		t.Errorf("name = %q", a.Name())
 	}
 	// During bootstrap: background duty everywhere, regardless of slot.
 	d := a.Decide(NodeState{Slot: 12, BufferBytes: 1e9})

@@ -120,7 +120,7 @@ type Params struct {
 }
 
 // sweepStrategies resolves a sweep's strategy axis to canonical names,
-// defaulting to the paper's three mechanisms in presentation order.
+// defaulting to the paper's three strategies in presentation order.
 func sweepStrategies(p Params) ([]string, error) {
 	if len(p.Strategies) == 0 {
 		return []string{strategy.NameAT, strategy.NameOPT, strategy.NameRH}, nil
@@ -279,14 +279,47 @@ func runFig4(p Params) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
+// Sweep holds one strategy's results across a range of targets.
+type Sweep struct {
+	// Strategy is the canonical registry name of the swept strategy.
+	Strategy string
+	Points   []analysis.Result
+}
+
+// newSweeps allocates one sweep per strategy, each with a point slot
+// per target.
+func newSweeps(strategies []string, targets int) []Sweep {
+	sweeps := make([]Sweep, len(strategies))
+	for i, s := range strategies {
+		sweeps[i] = Sweep{Strategy: s, Points: make([]analysis.Result, targets)}
+	}
+	return sweeps
+}
+
 // runAnalysisFigure produces the three sub-plots (zeta, Phi, rho) of
-// Figure 5 or 6 from the closed-form analysis.
+// Figure 5 or 6 from the closed-form analysis. A shared Evaluator
+// memoizes the target-independent work — the optimizer's slot curves
+// are built once for the whole sweep — and each target's point lands in
+// its own slot, so the tables are bit-identical for any parallelism.
 func runAnalysisFigure(id string, budgetFrac float64, p Params) ([]*Table, error) {
 	if err := noStrategyAxis(id, p); err != nil {
 		return nil, err
 	}
 	base := scenario.Roadside(scenario.WithFixedLengths(), scenario.WithBudgetFraction(budgetFrac))
-	sweeps, err := analysis.SweepTargetsParallel(base, analysis.PaperTargets(), p.Parallelism)
+	ev, err := analysis.NewEvaluator(base)
+	if err != nil {
+		return nil, err
+	}
+	targets := analysis.PaperTargets()
+	sweeps := newSweeps([]string{strategy.NameAT, strategy.NameOPT, strategy.NameRH}, len(targets))
+	err = pool.ForEach(len(targets), p.Parallelism, func(i int) error {
+		at, op, rh, err := ev.Point(targets[i])
+		if err != nil {
+			return err
+		}
+		sweeps[0].Points[i], sweeps[1].Points[i], sweeps[2].Points[i] = at, op, rh
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +351,7 @@ func schedulerFactory(ev *analysis.Evaluator, sc *scenario.Scenario, strat strin
 // fans out across the worker pool; every grid point derives its
 // randomness from the seed alone and writes its own sweep slot, so the
 // tables are bit-identical for any parallelism. The strategy axis
-// defaults to the paper's three mechanisms and honors p.Strategies.
+// defaults to the paper's three strategies and honors p.Strategies.
 func runSimulationFigure(id string, budgetFrac float64, p Params) ([]*Table, error) {
 	targets := analysis.PaperTargets()
 	strategies, err := sweepStrategies(p)
@@ -330,11 +363,7 @@ func runSimulationFigure(id string, budgetFrac float64, p Params) ([]*Table, err
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s: %w", id, err)
 	}
-	sweeps := make([]analysis.Sweep, len(strategies))
-	for i, s := range strategies {
-		sweeps[i].Mechanism = s
-		sweeps[i].Points = make([]analysis.MechanismResult, len(targets))
-	}
+	sweeps := newSweeps(strategies, len(targets))
 	err = pool.ForEachGrid(len(targets), len(strategies), p.Parallelism, func(ti, mi int) error {
 		target, m := targets[ti], strategies[mi]
 		sc := ev.Scenario(target)
@@ -355,7 +384,7 @@ func runSimulationFigure(id string, budgetFrac float64, p Params) ([]*Table, err
 		if res.Summary.MeanZeta > 0 {
 			rho = res.Summary.MeanPhi / res.Summary.MeanZeta
 		}
-		sweeps[mi].Points[ti] = analysis.MechanismResult{
+		sweeps[mi].Points[ti] = analysis.Result{
 			ZetaTarget: target,
 			Zeta:       res.Summary.MeanZeta,
 			Phi:        res.Summary.MeanPhi,
@@ -371,7 +400,7 @@ func runSimulationFigure(id string, budgetFrac float64, p Params) ([]*Table, err
 }
 
 // sweepTables renders sweeps into the figure's three sub-plot tables.
-func sweepTables(id, kind string, sweeps []analysis.Sweep) []*Table {
+func sweepTables(id, kind string, sweeps []Sweep) []*Table {
 	metricNames := []string{"zeta_s", "phi_s", "rho"}
 	subTitles := []string{
 		"(a) probed contact capacity",
@@ -385,7 +414,7 @@ func sweepTables(id, kind string, sweeps []analysis.Sweep) []*Table {
 			Columns: []string{"zeta_target_s"},
 		}
 		for _, s := range sweeps {
-			t.Columns = append(t.Columns, s.Mechanism+"_"+metricNames[m])
+			t.Columns = append(t.Columns, s.Strategy+"_"+metricNames[m])
 		}
 		for p := range sweeps[0].Points {
 			row := []float64{sweeps[0].Points[p].ZetaTarget}
@@ -592,7 +621,7 @@ func simGrid(t *Table, rowVals []float64, cols, epochs int, p Params,
 }
 
 // runExtLoss sweeps the beacon loss probability and reports each
-// strategy's probed capacity (default: the paper's three mechanisms).
+// strategy's probed capacity (default: the paper's three strategies).
 func runExtLoss(p Params) ([]*Table, error) {
 	strategies, err := sweepStrategies(p)
 	if err != nil {

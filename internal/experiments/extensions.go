@@ -430,7 +430,7 @@ func runExtLifetime(p Params) ([]*Table, error) {
 		},
 	}
 	upload := 24.0 // all mechanisms upload the same 24s of contact time
-	for i, r := range []analysis.MechanismResult{at, op, rh} {
+	for i, r := range []analysis.Result{at, op, rh} {
 		_, span, err := radio.Lifetime(pm, bat, radio.LifetimeInput{
 			Epoch:         sc.Epoch,
 			ProbingOnTime: r.Phi,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"rushprobe/internal/strategy"
 	"rushprobe/internal/telemetry"
 )
 
@@ -79,7 +80,7 @@ func TestCachedScheduleAllocatesNothing(t *testing.T) {
 		{"instrumented", instrumented},
 	} {
 		c.f.Observe(syntheticDays("n1", 4, 10, 2.0))
-		if s, err := c.f.ScheduleContext(ctx, "n1"); err != nil || s.Mechanism != MechanismOPT {
+		if s, err := c.f.ScheduleContext(ctx, "n1"); err != nil || s.Mechanism != strategy.NameOPT {
 			t.Fatalf("%s warm-up schedule = %+v, %v; want a learned SNIP-OPT plan", c.name, s, err)
 		}
 		allocs := testing.AllocsPerRun(200, func() {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rushprobe/internal/snaplog"
+	"rushprobe/internal/strategy"
 )
 
 // populateRandomFleet drives nodes through ingest with patterned but
@@ -50,11 +51,11 @@ func populateRandomFleet(t testing.TB, f *Fleet, nodes int, seed int64) []string
 		f.Observe(batch)
 		switch i % 17 {
 		case 3:
-			if _, err := f.SetStrategy(id, MechanismRH); err != nil {
+			if _, err := f.SetStrategy(id, strategy.NameRH); err != nil {
 				t.Fatal(err)
 			}
 		case 5:
-			if _, err := f.SetStrategy(id, MechanismAT); err != nil {
+			if _, err := f.SetStrategy(id, strategy.NameAT); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -153,7 +154,7 @@ func TestBinarySnapshotDeltaReplay(t *testing.T) {
 	}
 	// Touch a subset: new traffic, a strategy flip, one brand-new node.
 	f.Observe(syntheticDays("node-000003", 2, 8, 2.0))
-	if _, err := f.SetStrategy("node-000005", MechanismRH); err != nil {
+	if _, err := f.SetStrategy("node-000005", strategy.NameRH); err != nil {
 		t.Fatal(err)
 	}
 	f.Observe(syntheticDays("late-joiner", 4, 10, 1.5))

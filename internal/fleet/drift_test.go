@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rushprobe/internal/drift"
+	"rushprobe/internal/strategy"
 )
 
 // patternDays builds a deterministic observation stream like
@@ -235,11 +236,11 @@ func TestStrategyNodesCountsOverrides(t *testing.T) {
 	f.Observe(syntheticDays("a", 2, 6, 2))
 	f.Observe(syntheticDays("b", 2, 6, 2))
 	f.Observe(syntheticDays("c", 2, 6, 2))
-	if _, err := f.SetStrategy("b", MechanismRH); err != nil {
+	if _, err := f.SetStrategy("b", strategy.NameRH); err != nil {
 		t.Fatal(err)
 	}
 	got := f.StrategyNodes()
-	want := map[string]int{MechanismOPT: 2, MechanismRH: 1}
+	want := map[string]int{strategy.NameOPT: 2, strategy.NameRH: 1}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("StrategyNodes() = %v, want %v", got, want)
 	}

@@ -36,18 +36,6 @@ import (
 	"rushprobe/internal/telemetry"
 )
 
-// Canonical names of the strategies the fleet most commonly serves
-// (any registered strategy name works wherever these are accepted).
-// During bootstrap every node runs SNIP-AT at the budget-capped duty
-// (the paper's low-duty learning phase); a fleet whose default strategy
-// is MechanismAT pins every node to that bootstrap plan forever, which
-// makes it the control setting.
-const (
-	MechanismAT  = strategy.NameAT
-	MechanismOPT = strategy.NameOPT
-	MechanismRH  = strategy.NameRH
-)
-
 // Observation is one probed (or ground-truth) contact reported by a
 // node: when it started, how long it lasted, and optionally how many
 // bytes were uploaded during it.
@@ -120,11 +108,13 @@ type Config struct {
 	// before its learned plan replaces the bootstrap SNIP-AT plan.
 	// Default 3.
 	BootstrapEpochs int
-	// Mechanism selects the default strategy served after bootstrap:
+	// Strategy selects the default strategy served after bootstrap:
 	// any registered strategy name or alias (package strategy), default
-	// MechanismOPT. MechanismAT pins nodes to the bootstrap plan forever
-	// (a control setting). Individual nodes override it via SetStrategy.
-	Mechanism string
+	// SNIP-OPT. During bootstrap every node runs SNIP-AT at the
+	// budget-capped duty (the paper's low-duty learning phase), so
+	// SNIP-AT pins nodes to the bootstrap plan forever (a control
+	// setting). Individual nodes override it via SetStrategy.
+	Strategy string
 	// CapacityQuantum quantizes learned per-slot capacities (seconds per
 	// epoch) before fingerprinting, so near-identical profiles share one
 	// cached plan. Default 1.
@@ -191,14 +181,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BootstrapEpochs < 0 {
 		return c, fmt.Errorf("fleet: bootstrap epochs must be non-negative, got %d", c.BootstrapEpochs)
 	}
-	if c.Mechanism == "" {
-		c.Mechanism = MechanismOPT
+	if c.Strategy == "" {
+		c.Strategy = strategy.NameOPT
 	} else {
-		s, err := strategy.Lookup(c.Mechanism)
+		s, err := strategy.Lookup(c.Strategy)
 		if err != nil {
 			return c, fmt.Errorf("fleet: %w", err)
 		}
-		c.Mechanism = s.Name()
+		c.Strategy = s.Name()
 	}
 	if c.CapacityQuantum == 0 {
 		c.CapacityQuantum = 1
@@ -243,10 +233,12 @@ func validUpload(v float64) bool {
 }
 
 // Schedule is a served probing plan: the per-slot duty cycles of one
-// mechanism together with the plan's analytical outcome. Schedules are
+// strategy together with the plan's analytical outcome. Schedules are
 // shared and immutable — callers must not modify Duty.
 type Schedule struct {
-	// Mechanism names the plan family (SNIP-AT during bootstrap).
+	// Mechanism names the plan family that was served: the canonical
+	// name of the strategy that produced the plan, which is SNIP-AT
+	// during bootstrap whatever strategy the node is set to.
 	Mechanism string `json:"mechanism"`
 	// Duty is the duty cycle per slot of the epoch.
 	Duty []float64 `json:"duty"`
@@ -347,7 +339,7 @@ func New(cfg Config) (*Fleet, error) {
 // scenario's target, capped by the energy budget — exactly the "very
 // small duty cycle" bootstrap of §VII.B.
 func (f *Fleet) bootstrapSchedule() (*Schedule, error) {
-	return f.solve(MechanismAT, f.cfg.Base, f.baseFP)
+	return f.solve(strategy.NameAT, f.cfg.Base, f.baseFP)
 }
 
 // shardIndex maps a node ID to its shard with an inline FNV-1a hash
@@ -645,7 +637,7 @@ func (f *Fleet) schedule(node string) (*Schedule, string, error) {
 		return s, "node", nil
 	}
 	strat := f.strategyInForce(p)
-	if strat == MechanismAT || p.learner.Epochs() < f.cfg.BootstrapEpochs {
+	if strat == strategy.NameAT || p.learner.Epochs() < f.cfg.BootstrapEpochs {
 		p.sched = f.bootstrap
 		sh.mu.Unlock()
 		return f.bootstrap, "bootstrap", nil
@@ -771,7 +763,7 @@ func (f *Fleet) Profile(node string) (NodeProfile, error) {
 	if p == nil {
 		return NodeProfile{
 			Node:            node,
-			Strategy:        f.cfg.Mechanism,
+			Strategy:        f.cfg.Strategy,
 			Bootstrapping:   true,
 			RushMask:        make([]bool, len(f.cfg.Base.Slots)),
 			SlotCapacity:    make([]float64, len(f.cfg.Base.Slots)),

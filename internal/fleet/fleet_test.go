@@ -61,8 +61,8 @@ func TestColdNodeGetsBootstrapPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mechanism != MechanismAT {
-		t.Fatalf("cold node mechanism = %s, want %s", s.Mechanism, MechanismAT)
+	if s.Mechanism != strategy.NameAT {
+		t.Fatalf("cold node mechanism = %s, want %s", s.Mechanism, strategy.NameAT)
 	}
 	if len(s.Duty) != 24 {
 		t.Fatalf("duty has %d slots, want 24", len(s.Duty))
@@ -91,8 +91,8 @@ func TestObserveGraduatesToLearnedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mechanism != MechanismOPT {
-		t.Fatalf("mechanism = %s, want %s after bootstrap", s.Mechanism, MechanismOPT)
+	if s.Mechanism != strategy.NameOPT {
+		t.Fatalf("mechanism = %s, want %s after bootstrap", s.Mechanism, strategy.NameOPT)
 	}
 	// With the target comfortably inside the rush-hour capacity, the
 	// energy-minimizing plan must spend only on rush slots (it may not
@@ -296,17 +296,29 @@ func TestHugeObservationsCannotPoisonSnapshots(t *testing.T) {
 	}
 }
 
-// TestScheduleReadsDoNotCreateState: unauthenticated schedule lookups
-// for made-up node IDs must not grow the store.
+// TestScheduleReadsDoNotCreateState: unauthenticated schedule, batch
+// schedule and profile lookups for made-up node IDs must not grow the
+// store.
 func TestScheduleReadsDoNotCreateState(t *testing.T) {
 	f := newTestFleet(t, Config{})
-	for i := 0; i < 100; i++ {
-		if _, err := f.Schedule(fmt.Sprintf("scanner-%d", i)); err != nil {
+	batch := make([]string, 100)
+	for i := range batch {
+		batch[i] = fmt.Sprintf("scanner-%d", i)
+		if _, err := f.Schedule(batch[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Profile(batch[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if _, err := f.ScheduleBatch(batch); err != nil {
+		t.Fatal(err)
+	}
 	if st := f.Stats(); st.Nodes != 0 {
-		t.Fatalf("schedule reads created %d profiles", st.Nodes)
+		t.Fatalf("schedule and profile reads created %d profiles", st.Nodes)
+	}
+	if m := f.Memory(); m.Nodes != 0 || m.ProfileBytes != 0 {
+		t.Fatalf("schedule and profile reads grew memory: %+v", m)
 	}
 }
 
@@ -359,14 +371,14 @@ func TestObserveSkipsLongGaps(t *testing.T) {
 }
 
 func TestRHMechanism(t *testing.T) {
-	f := newTestFleet(t, Config{Mechanism: MechanismRH})
+	f := newTestFleet(t, Config{Strategy: strategy.NameRH})
 	f.Observe(syntheticDays("n", 4, 10, 2.0))
 	s, err := f.Schedule("n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Mechanism != MechanismRH {
-		t.Fatalf("mechanism = %s, want %s", s.Mechanism, MechanismRH)
+	if s.Mechanism != strategy.NameRH {
+		t.Fatalf("mechanism = %s, want %s", s.Mechanism, strategy.NameRH)
 	}
 	for i, d := range s.Duty {
 		rush := i == 7 || i == 8 || i == 17 || i == 18
@@ -533,7 +545,7 @@ func TestConfigValidation(t *testing.T) {
 		{Base: base, Shards: -1},
 		{Base: base, RushSlots: 99},
 		{Base: base, BootstrapEpochs: -1},
-		{Base: base, Mechanism: "SNIP-XX"},
+		{Base: base, Strategy: "SNIP-XX"},
 		{Base: base, CapacityQuantum: -1},
 		{Base: base, LengthQuantum: math.NaN()},
 		{Base: base, MaxEpochSkip: -1},
@@ -554,11 +566,11 @@ func TestConfigValidation(t *testing.T) {
 func TestRestoreRejectsUnregisteredStrategy(t *testing.T) {
 	f := newTestFleet(t, Config{})
 	f.Observe(syntheticDays("keeper", 4, 10, 2.0))
-	if _, err := f.SetStrategy("keeper", MechanismRH); err != nil {
+	if _, err := f.SetStrategy("keeper", strategy.NameRH); err != nil {
 		t.Fatal(err)
 	}
 	meta, nodes := splitLog(t, binarySnapshotBytes(t, f))
-	if len(nodes) != 1 || !bytes.Contains(nodes[0].head, []byte(MechanismRH)) {
+	if len(nodes) != 1 || !bytes.Contains(nodes[0].head, []byte(strategy.NameRH)) {
 		t.Fatalf("snapshot did not capture the strategy override: %+v", nodes)
 	}
 	nodes[0].rehead(nodes[0].id, "EXT-SCHEME-NOT-COMPILED-IN")
@@ -575,7 +587,7 @@ func TestRestoreRejectsUnregisteredStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == nil || s.Mechanism != MechanismRH {
+	if s == nil || s.Mechanism != strategy.NameRH {
 		t.Fatalf("pre-restore state lost: schedule %+v", s)
 	}
 }
@@ -634,7 +646,7 @@ func TestAdvanceEpochInvalidatesServedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Mechanism == MechanismAT {
+	if s1.Mechanism == strategy.NameAT {
 		t.Fatal("node should have graduated after one folded epoch")
 	}
 	// One busier epoch later the learned plan must be re-derived.
@@ -666,11 +678,11 @@ func TestScheduleBatchServesInOrder(t *testing.T) {
 	if len(scheds) != 3 {
 		t.Fatalf("got %d schedules, want 3", len(scheds))
 	}
-	if scheds[0].Mechanism != MechanismOPT || scheds[2].Mechanism != MechanismOPT {
-		t.Fatalf("warm node served %s/%s, want %s", scheds[0].Mechanism, scheds[2].Mechanism, MechanismOPT)
+	if scheds[0].Mechanism != strategy.NameOPT || scheds[2].Mechanism != strategy.NameOPT {
+		t.Fatalf("warm node served %s/%s, want %s", scheds[0].Mechanism, scheds[2].Mechanism, strategy.NameOPT)
 	}
-	if scheds[1].Mechanism != MechanismAT {
-		t.Fatalf("cold node served %s, want bootstrap %s", scheds[1].Mechanism, MechanismAT)
+	if scheds[1].Mechanism != strategy.NameAT {
+		t.Fatalf("cold node served %s, want bootstrap %s", scheds[1].Mechanism, strategy.NameAT)
 	}
 	if scheds[0] != scheds[2] {
 		t.Fatal("identical nodes must share the served schedule")
@@ -717,7 +729,7 @@ func TestScheduleSolvesOutsideShardLock(t *testing.T) {
 	if err := strategy.Register(b); err != nil {
 		t.Fatal(err)
 	}
-	f := newTestFleet(t, Config{Mechanism: b.name, Shards: 1})
+	f := newTestFleet(t, Config{Strategy: b.name, Shards: 1})
 	f.Observe(syntheticDays("slow", 4, 10, 2.0))
 
 	schedDone := make(chan error, 1)

@@ -11,6 +11,7 @@ import (
 	"rushprobe/internal/drift"
 	"rushprobe/internal/scenario"
 	"rushprobe/internal/snaplog"
+	"rushprobe/internal/strategy"
 )
 
 // fuzzFleetLog is the state every FuzzImportFrames input lands on: a
@@ -27,7 +28,7 @@ func fuzzFleetLog(tb testing.TB) (Config, []byte) {
 	f.Observe(syntheticDays("plain", 4, 8, 2))
 	f.Observe(syntheticDays("override", 2, 6, 3))
 	f.Observe(syntheticDays("young", 1, 2, 1))
-	if _, err := f.SetStrategy("override", MechanismRH); err != nil {
+	if _, err := f.SetStrategy("override", strategy.NameRH); err != nil {
 		tb.Fatal(err)
 	}
 	return cfg, binarySnapshotBytes(tb, f)

@@ -18,6 +18,7 @@ import (
 
 	"rushprobe/internal/drift"
 	"rushprobe/internal/snaplog"
+	"rushprobe/internal/strategy"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/binsnap.golden from the current codec")
@@ -351,7 +352,7 @@ func goldenMutations(t *testing.T) []goldenCase {
 	src.Observe(patternDays("drifted", 12, 8, 6, 2, rotatedRush))
 	src.Observe(syntheticDays("plain", 4, 8, 2))
 	src.Observe(syntheticDays("override", 2, 6, 3))
-	if _, err := src.SetStrategy("override", MechanismRH); err != nil {
+	if _, err := src.SetStrategy("override", strategy.NameRH); err != nil {
 		t.Fatal(err)
 	}
 	base := binarySnapshotBytes(t, src)

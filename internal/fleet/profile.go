@@ -103,7 +103,7 @@ func (f *Fleet) strategyInForce(p *profile) string {
 	if p != nil && p.strategy != "" {
 		return p.strategy
 	}
-	return f.cfg.Mechanism
+	return f.cfg.Strategy
 }
 
 // quantize rounds v to the nearest multiple of q (q > 0).

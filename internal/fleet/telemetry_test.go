@@ -5,12 +5,14 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"rushprobe/internal/drift"
+	"rushprobe/internal/strategy"
 	"rushprobe/internal/telemetry"
 )
 
@@ -19,6 +21,53 @@ func newTelemeteredFleet(t *testing.T, cfg Config) (*Fleet, *telemetry.Telemetry
 	tel := telemetry.New(telemetry.Config{TraceRing: 256})
 	cfg.Telemetry = tel
 	return newTestFleet(t, cfg), tel
+}
+
+// TestTelemetryIsBehaviorNeutral feeds one stream to a bare and a
+// telemetered fleet: arming telemetry must change no served schedule,
+// learned profile or snapshot byte.
+func TestTelemetryIsBehaviorNeutral(t *testing.T) {
+	bare := newTestFleet(t, Config{DriftDetector: drift.KindCUSUM})
+	armed, _ := newTelemeteredFleet(t, Config{DriftDetector: drift.KindCUSUM})
+	nodes := []string{"n1", "n2", "n3"}
+	for i, node := range nodes {
+		batch := syntheticDays(node, 3+i, 8, 1.5+float64(i))
+		bare.Observe(batch)
+		armed.ObserveContext(context.Background(), batch)
+	}
+	if _, err := bare.SetStrategy("n2", strategy.NameRH); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := armed.SetStrategy("n2", strategy.NameRH); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range append(nodes, "never-seen") {
+		want, err := bare.Schedule(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := armed.ScheduleContext(context.Background(), node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: telemetered fleet serves %+v, bare fleet %+v", node, got, want)
+		}
+		wantProf, err := bare.Profile(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotProf, err := armed.Profile(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotProf, wantProf) {
+			t.Errorf("%s: telemetered profile %+v, bare %+v", node, gotProf, wantProf)
+		}
+	}
+	if !bytes.Equal(binarySnapshotBytes(t, armed), binarySnapshotBytes(t, bare)) {
+		t.Error("telemetry changed the snapshot bytes")
+	}
 }
 
 func TestTelemetryRecordsStageHistogramsAndSpans(t *testing.T) {
@@ -194,7 +243,7 @@ func TestMetricsReadsUnderConcurrentMutation(t *testing.T) {
 		writerWg.Add(1)
 		go func(w int) {
 			defer writerWg.Done()
-			strategies := []string{MechanismRH, MechanismOPT, ""}
+			strategies := []string{strategy.NameRH, strategy.NameOPT, ""}
 			for i := 0; i < 50; i++ {
 				node := fmt.Sprintf("n%d", (w+i)%nodes)
 				f.ObserveContext(context.Background(), syntheticDays(node, 2, 5, 2.0))

@@ -255,7 +255,7 @@ func Simulate(spec Spec) (*Result, error) {
 	}
 	flt, err := fleet.New(fleet.Config{
 		Base:            spec.Base,
-		Mechanism:       spec.Strategy,
+		Strategy:        spec.Strategy,
 		BootstrapEpochs: spec.BootstrapEpochs,
 		RushSlots:       spec.RushSlots,
 		DriftDetector:   spec.DriftDetector,
@@ -363,7 +363,7 @@ func (spec *Spec) runNode(flt *fleet.Fleet, strat strategy.Strategy, id string, 
 		return nil, err
 	}
 	seed := uint64(rng.DeriveN(spec.Seed, "fleetsim-run", i).Intn(1 << 31))
-	loop := newNodeLoop(flt, id, spec.Base.PhiMax, spec.Strategy, spec.Epochs)
+	loop := newNodeLoop(flt, id, spec.Base.PhiMax, spec.Epochs)
 	cfg := sim.Config{
 		Scenario:     w.sc,
 		NewScheduler: func() (core.Scheduler, error) { return loop, nil },

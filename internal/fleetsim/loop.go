@@ -17,10 +17,9 @@ import (
 // one the fleet learned from epochs < e, never from the epoch being
 // simulated.
 type nodeLoop struct {
-	fleet    *fleet.Fleet
-	id       string
-	phiMax   float64
-	strategy string
+	fleet  *fleet.Fleet
+	id     string
+	phiMax float64
 
 	duty    []float64
 	pending []fleet.Observation
@@ -37,12 +36,11 @@ type nodeLoop struct {
 
 // newNodeLoop builds the closed-loop scheduler for one node over an
 // epochs-long horizon.
-func newNodeLoop(flt *fleet.Fleet, id string, phiMax float64, strategyName string, epochs int) *nodeLoop {
+func newNodeLoop(flt *fleet.Fleet, id string, phiMax float64, epochs int) *nodeLoop {
 	return &nodeLoop{
 		fleet:       flt,
 		id:          id,
 		phiMax:      phiMax,
-		strategy:    strategyName,
 		ingestSec:   make([]float64, epochs),
 		advanceSec:  make([]float64, epochs),
 		scheduleSec: make([]float64, epochs),
@@ -61,9 +59,6 @@ func (l *nodeLoop) timingIndex(epoch int) int {
 	}
 	return epoch
 }
-
-// Name reports the strategy the fleet serves this node.
-func (l *nodeLoop) Name() string { return l.strategy }
 
 // Decide follows the served per-slot plan under the epoch energy
 // budget, exactly like an OPT follower: the node is thin, all learning
@@ -157,9 +152,8 @@ func (l *nodeLoop) finish(epochs int) error {
 // post-drift plan the moment the pattern shifts. It is the per-node
 // upper bound the closed loop's convergence is measured against.
 type oracleLoop struct {
-	active   core.Scheduler
-	pre      core.Scheduler
-	post     core.Scheduler // nil when the node's pattern is stable
+	active   *core.OPTFollower
+	post     *core.OPTFollower // nil when the node's pattern is stable
 	switchAt int
 }
 
@@ -169,7 +163,7 @@ func newOracleLoop(pre, post *strategy.Plan, switchAt int, phiMax float64) (*ora
 	if err != nil {
 		return nil, err
 	}
-	o := &oracleLoop{active: preSched, pre: preSched, switchAt: switchAt}
+	o := &oracleLoop{active: preSched, switchAt: switchAt}
 	if post != nil {
 		postSched, err := strategy.FollowPlan(post, phiMax)
 		if err != nil {
@@ -179,9 +173,6 @@ func newOracleLoop(pre, post *strategy.Plan, switchAt int, phiMax float64) (*ora
 	}
 	return o, nil
 }
-
-// Name reports the followed plan's strategy.
-func (o *oracleLoop) Name() string { return o.pre.Name() }
 
 // Decide delegates to the plan currently in force.
 func (o *oracleLoop) Decide(state core.NodeState) core.Decision { return o.active.Decide(state) }

@@ -17,6 +17,7 @@ import (
 
 	"rushprobe/internal/fleet"
 	"rushprobe/internal/scenario"
+	"rushprobe/internal/strategy"
 	"rushprobe/internal/telemetry"
 	"rushprobe/internal/wire"
 )
@@ -263,18 +264,18 @@ func TestRouterRoutesToOwners(t *testing.T) {
 			t.Fatalf("routed schedule for %s differs from owner's", id)
 		}
 	}
-	inForce, err := rt.SetStrategy(ctx, ids[0], fleet.MechanismRH)
+	inForce, err := rt.SetStrategy(ctx, ids[0], strategy.NameRH)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inForce != fleet.MechanismRH {
+	if inForce != strategy.NameRH {
 		t.Fatalf("SetStrategy returned %q", inForce)
 	}
 	prof, err := rt.Profile(ctx, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Strategy != fleet.MechanismRH {
+	if prof.Strategy != strategy.NameRH {
 		t.Fatalf("profile strategy %q after override", prof.Strategy)
 	}
 }
@@ -382,7 +383,7 @@ func TestRoutedRestoreEquivalence(t *testing.T) {
 	}
 	// Strategy overrides must survive the routed restore too.
 	for i := 0; i < len(ids); i += 97 {
-		if _, err := rtA.SetStrategy(ctx, ids[i], fleet.MechanismAT); err != nil {
+		if _, err := rtA.SetStrategy(ctx, ids[i], strategy.NameAT); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -574,18 +575,18 @@ func TestRouterMixedHTTPAndLocalShards(t *testing.T) {
 
 	// Strategy + profile round-trip through whichever transport owns
 	// the node.
-	inForce, err := rt.SetStrategy(ctx, ids[3], fleet.MechanismAT)
+	inForce, err := rt.SetStrategy(ctx, ids[3], strategy.NameAT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inForce != fleet.MechanismAT {
+	if inForce != strategy.NameAT {
 		t.Fatalf("SetStrategy over mixed shards returned %q", inForce)
 	}
 	prof, err := rt.Profile(ctx, ids[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Node != ids[3] || prof.Strategy != fleet.MechanismAT {
+	if prof.Node != ids[3] || prof.Strategy != strategy.NameAT {
 		t.Fatalf("profile over mixed shards: %+v", prof)
 	}
 

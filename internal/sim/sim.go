@@ -156,8 +156,6 @@ type Summary struct {
 
 // Result is the outcome of one simulation run.
 type Result struct {
-	// SchedulerName labels the mechanism that produced the result.
-	SchedulerName string
 	// Epochs holds the per-epoch metrics (including warmup epochs).
 	Epochs []EpochMetrics
 	// Summary aggregates the post-warmup epochs.
@@ -617,8 +615,7 @@ func (n *node) result(cfg Config) (*Result, error) {
 		rho = phi.Mean() / zeta.Mean()
 	}
 	return &Result{
-		SchedulerName: n.sched.Name(),
-		Epochs:        epochs,
+		Epochs: epochs,
 		Summary: Summary{
 			Epochs:            zeta.N(),
 			MeanZeta:          zeta.Mean(),

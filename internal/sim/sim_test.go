@@ -93,9 +93,6 @@ func TestATSimulationMatchesAnalysisTightBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SchedulerName != "SNIP-AT" {
-		t.Errorf("scheduler name = %q", res.SchedulerName)
-	}
 	if math.Abs(res.Summary.MeanZeta-8.8) > 1.5 {
 		t.Errorf("AT zeta = %v, want ~8.8", res.Summary.MeanZeta)
 	}

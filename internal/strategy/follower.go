@@ -6,38 +6,19 @@ import (
 	"rushprobe/internal/core"
 )
 
-// planFollower executes a fixed per-slot duty plan verbatim while
-// reporting the name of the strategy that produced the plan (a plain
-// core.OPTFollower always reports "SNIP-OPT"). It is how served plans —
-// a fleet's cached schedules, an oracle's true-scenario plan — are
-// dropped into a simulation without re-deriving them from a scenario.
-type planFollower struct {
-	name string
-	*core.OPTFollower
-}
-
-// Name returns the name of the strategy whose plan is followed.
-func (p *planFollower) Name() string { return p.name }
-
 // FollowPlan returns a scheduler that executes the plan's per-slot duty
 // cycles under an optional energy-budget stop (phiMax <= 0 disables
-// it), reporting the plan's strategy name. The duty slice is copied, so
-// shared plans (fleet schedules are immutable and shared) are safe to
-// follow from many concurrent simulations.
-func FollowPlan(p *Plan, phiMax float64) (core.Scheduler, error) {
+// it). It is how served plans — a fleet's cached schedules, an oracle's
+// true-scenario plan — are dropped into a simulation without
+// re-deriving them from a scenario. The duty slice is copied, so shared
+// plans (fleet schedules are immutable and shared) are safe to follow
+// from many concurrent simulations.
+func FollowPlan(p *Plan, phiMax float64) (*core.OPTFollower, error) {
 	if p == nil {
 		return nil, errors.New("strategy: nil plan")
 	}
 	if phiMax < 0 {
 		phiMax = 0
 	}
-	follower, err := core.NewOPTFollower(p.Duty, phiMax)
-	if err != nil {
-		return nil, err
-	}
-	name := p.Strategy
-	if name == "" {
-		name = NameOPT
-	}
-	return &planFollower{name: name, OPTFollower: follower}, nil
+	return core.NewOPTFollower(p.Duty, phiMax)
 }

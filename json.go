@@ -51,7 +51,7 @@ func (m *Metrics) UnmarshalJSON(data []byte) error {
 
 // replicatedJSON mirrors ReplicatedSummary with a null-safe Rho.
 type replicatedJSON struct {
-	Mechanism    Mechanism
+	Strategy     string
 	Replications int
 	Zeta         float64
 	Phi          float64
@@ -64,7 +64,7 @@ type replicatedJSON struct {
 // MarshalJSON encodes the aggregate, mapping a non-finite Rho to null.
 func (r ReplicatedSummary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(replicatedJSON{
-		Mechanism:    r.Mechanism,
+		Strategy:     r.Strategy,
 		Replications: r.Replications,
 		Zeta:         r.Zeta,
 		Phi:          r.Phi,
@@ -83,7 +83,7 @@ func (r *ReplicatedSummary) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*r = ReplicatedSummary{
-		Mechanism:    j.Mechanism,
+		Strategy:     j.Strategy,
 		Replications: j.Replications,
 		Zeta:         j.Zeta,
 		Phi:          j.Phi,
@@ -97,7 +97,7 @@ func (r *ReplicatedSummary) UnmarshalJSON(data []byte) error {
 
 // simSummaryJSON mirrors SimSummary with a null-safe Rho.
 type simSummaryJSON struct {
-	Mechanism       Mechanism
+	Strategy        string
 	Epochs          int
 	Zeta            float64
 	Phi             float64
@@ -115,7 +115,7 @@ type simSummaryJSON struct {
 // MarshalJSON encodes the summary, mapping a non-finite Rho to null.
 func (s SimSummary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(simSummaryJSON{
-		Mechanism:       s.Mechanism,
+		Strategy:        s.Strategy,
 		Epochs:          s.Epochs,
 		Zeta:            s.Zeta,
 		Phi:             s.Phi,
@@ -139,7 +139,7 @@ func (s *SimSummary) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	*s = SimSummary{
-		Mechanism:       j.Mechanism,
+		Strategy:        j.Strategy,
 		Epochs:          j.Epochs,
 		Zeta:            j.Zeta,
 		Phi:             j.Phi,

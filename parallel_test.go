@@ -40,8 +40,8 @@ func TestSimulateReplicationsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("replicated summary depends on the parallelism setting")
 	}
-	if serial.Replications != 3 || serial.Mechanism != SNIPRH {
-		t.Errorf("summary header = (%d, %s)", serial.Replications, serial.Mechanism)
+	if serial.Replications != 3 || serial.Strategy != SNIPRH {
+		t.Errorf("summary header = (%d, %s)", serial.Replications, serial.Strategy)
 	}
 	if serial.Zeta <= 0 || serial.Phi <= 0 {
 		t.Errorf("aggregate = (%v, %v), want positive", serial.Zeta, serial.Phi)

@@ -8,7 +8,7 @@
 // A static sensor node must discover passing mobile nodes (contacts)
 // while keeping its radio aggressively duty-cycled. With SNIP (sensor
 // node-initiated probing), the node beacons at the start of each radio
-// on-period; this package provides the three scheduling mechanisms the
+// on-period; this package provides the three probing strategies the
 // paper studies for deciding when to probe and at which duty cycle —
 // SNIP-AT (always, fixed duty), SNIP-OPT (per-slot optimal plan), and
 // SNIP-RH (only during learned/engineered rush hours) — together with
@@ -41,28 +41,22 @@ import (
 	"rushprobe/internal/strategy"
 )
 
-// Mechanism names a SNIP scheduling mechanism.
-type Mechanism string
-
-// The scheduling mechanisms of the paper (§IV-§VI) plus the adaptive
-// variant sketched in §VII.B.
+// The canonical names of the paper's strategies (§IV-§VI) plus the
+// adaptive variant sketched in §VII.B, as the strategy registry
+// declares them.
 const (
-	SNIPAT         Mechanism = "SNIP-AT"
-	SNIPOPT        Mechanism = "SNIP-OPT"
-	SNIPRH         Mechanism = "SNIP-RH"
-	SNIPAdaptiveRH Mechanism = "SNIP-RH+AT"
+	SNIPAT         = strategy.NameAT
+	SNIPOPT        = strategy.NameOPT
+	SNIPRH         = strategy.NameRH
+	SNIPAdaptiveRH = strategy.NameAdaptiveRH
 )
 
-// Mechanisms returns the mechanisms in the paper's presentation order.
-func Mechanisms() []Mechanism {
-	return []Mechanism{SNIPAT, SNIPOPT, SNIPRH}
-}
-
 // Strategies returns the canonical names of every registered probing
-// strategy, sorted. The paper's mechanisms are pre-registered; any of
+// strategy, sorted. The paper's strategies are pre-registered; any of
 // these names (or their aliases, e.g. "rh" for "SNIP-RH") is accepted
-// by WithStrategy, WithFleetMechanism via Mechanism, Fleet.SetStrategy,
-// and the -strategy flags of the CLIs.
+// by Simulate, SimulateReplications, SimulateFleet, WithStrategy,
+// WithFleetStrategy, Fleet.SetStrategy, and the -strategy flags of the
+// CLIs.
 func Strategies() []string { return strategy.Names() }
 
 // StrategyDescription returns the one-line description of a registered
@@ -255,7 +249,7 @@ func (s *Scenario) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Metrics are the paper's evaluation metrics for one mechanism at one
+// Metrics are the paper's evaluation metrics for one strategy at one
 // capacity target.
 type Metrics struct {
 	// ZetaTarget is the requested probed capacity (s/epoch).
@@ -270,7 +264,7 @@ type Metrics struct {
 	TargetMet bool
 }
 
-func fromAnalysis(r analysis.MechanismResult) Metrics {
+func fromAnalysis(r analysis.Result) Metrics {
 	return Metrics{
 		ZetaTarget: r.ZetaTarget,
 		Zeta:       r.Zeta,
@@ -280,14 +274,14 @@ func fromAnalysis(r analysis.MechanismResult) Metrics {
 	}
 }
 
-// AnalysisReport compares the three mechanisms analytically.
+// AnalysisReport compares the three strategies analytically.
 type AnalysisReport struct {
 	AT  Metrics
 	OPT Metrics
 	RH  Metrics
 }
 
-// Analyze evaluates all three mechanisms on the scenario using the
+// Analyze evaluates all three strategies on the scenario using the
 // closed-form SNIP model (the method behind Figures 5 and 6).
 func Analyze(s *Scenario) (*AnalysisReport, error) {
 	if s == nil || s.inner == nil {
@@ -391,13 +385,12 @@ func WithSeed(seed uint64) SimOption {
 func WithParallelism(n int) SimOption { return func(o *simOpts) { o.parallelism = n } }
 
 // WithStrategy selects a registered probing strategy by name or alias
-// (see Strategies). In Simulate and SimulateReplications it overrides
-// the mechanism argument, which lets any registered scheme — not just
-// the paper's four — drive the simulation; give it at most once there.
-// In RunExperiment it replaces the strategy axis of the simulation
-// sweeps (fig7, fig8, ext-loss, ext-latency: one swept column per
-// WithStrategy, in the order given; ext-contention: exactly one);
-// experiments without a strategy axis reject it.
+// (see Strategies) for RunExperiment: it replaces the strategy axis of
+// the simulation sweeps (fig7, fig8, ext-loss, ext-latency: one swept
+// column per WithStrategy, in the order given; ext-contention: exactly
+// one); experiments without a strategy axis reject it. Simulate,
+// SimulateReplications and SimulateFleet take their strategy as an
+// argument and reject it.
 func WithStrategy(name string) SimOption {
 	return func(o *simOpts) { o.strategies = append(o.strategies, name) }
 }
@@ -451,8 +444,8 @@ func WithDriftDetection(name string) SimOption {
 
 // SimSummary is the per-epoch average outcome of a simulation run.
 type SimSummary struct {
-	// Mechanism is the scheduler that produced the result.
-	Mechanism Mechanism
+	// Strategy is the canonical name of the simulated strategy.
+	Strategy string
 	// Epochs is the number of summarized epochs.
 	Epochs int
 	// Zeta, Phi and Rho are the paper's metrics (per-epoch means).
@@ -473,24 +466,22 @@ type SimSummary struct {
 	PerEpochZeta []float64
 }
 
-// simConfig resolves the options into a simulator configuration. The
-// scheduler comes from the strategy registry: the mechanism argument's
-// name by default, the WithStrategy override when given.
-func simConfig(s *Scenario, m Mechanism, o simOpts) (sim.Config, error) {
+// simConfig resolves the options into a simulator configuration for
+// the named strategy, and returns the strategy's canonical name.
+func simConfig(s *Scenario, name string, o simOpts) (sim.Config, string, error) {
 	if o.nodesSet || o.driftSet || o.detectorSet {
-		return sim.Config{}, errors.New("rushprobe: WithNodes, WithDrift, and WithDriftDetection apply only to SimulateFleet")
+		return sim.Config{}, "", errors.New("rushprobe: WithNodes, WithDrift, and WithDriftDetection apply only to SimulateFleet")
 	}
-	name := string(m)
-	switch len(o.strategies) {
-	case 0:
-	case 1:
-		name = o.strategies[0]
-	default:
-		return sim.Config{}, fmt.Errorf("rushprobe: a simulation runs one strategy; got %d WithStrategy options", len(o.strategies))
+	if len(o.strategies) > 0 {
+		return sim.Config{}, "", errors.New("rushprobe: WithStrategy applies only to RunExperiment; pass the strategy as the argument")
 	}
-	factory, err := sim.StrategyFactory(s.inner, name)
+	strat, err := strategy.Lookup(name)
 	if err != nil {
-		return sim.Config{}, err
+		return sim.Config{}, "", err
+	}
+	factory, err := sim.StrategyFactory(s.inner, strat.Name())
+	if err != nil {
+		return sim.Config{}, "", err
 	}
 	cfg := sim.Config{
 		Scenario:     s.inner,
@@ -511,15 +502,15 @@ func simConfig(s *Scenario, m Mechanism, o simOpts) (sim.Config, error) {
 			return by
 		}
 	}
-	return cfg, nil
+	return cfg, strat.Name(), nil
 }
 
 // Simulate runs the discrete-event simulation of the scenario under the
-// given mechanism (the method behind Figures 7 and 8) and returns
-// per-epoch averages. A single run is inherently sequential (the
+// named strategy (any registered name or alias, see Strategies; the
+// method behind Figures 7 and 8) and returns per-epoch averages. A single run is inherently sequential (the
 // discrete-event loop is a serial dependency chain); use
 // SimulateReplications to spread statistical power across cores.
-func Simulate(s *Scenario, m Mechanism, opts ...SimOption) (*SimSummary, error) {
+func Simulate(s *Scenario, strategy string, opts ...SimOption) (*SimSummary, error) {
 	if s == nil || s.inner == nil {
 		return nil, errors.New("rushprobe: nil scenario")
 	}
@@ -527,7 +518,7 @@ func Simulate(s *Scenario, m Mechanism, opts ...SimOption) (*SimSummary, error) 
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfg, err := simConfig(s, m, o)
+	cfg, name, err := simConfig(s, strategy, o)
 	if err != nil {
 		return nil, err
 	}
@@ -535,17 +526,18 @@ func Simulate(s *Scenario, m Mechanism, opts ...SimOption) (*SimSummary, error) 
 	if err != nil {
 		return nil, err
 	}
-	return newSimSummary(res), nil
+	return newSimSummary(name, res), nil
 }
 
-// newSimSummary converts a simulator result into the public summary.
-func newSimSummary(res *sim.Result) *SimSummary {
+// newSimSummary converts a simulator result of the named strategy into
+// the public summary.
+func newSimSummary(strategy string, res *sim.Result) *SimSummary {
 	perEpoch := make([]float64, len(res.Epochs))
 	for i, em := range res.Epochs {
 		perEpoch[i] = em.Zeta
 	}
 	return &SimSummary{
-		Mechanism:       Mechanism(res.SchedulerName),
+		Strategy:        strategy,
 		Epochs:          res.Summary.Epochs,
 		Zeta:            res.Summary.MeanZeta,
 		Phi:             res.Summary.MeanPhi,
@@ -564,8 +556,8 @@ func newSimSummary(res *sim.Result) *SimSummary {
 // ReplicatedSummary aggregates independent replications of one
 // simulation, each run with its own derived seed.
 type ReplicatedSummary struct {
-	// Mechanism is the scheduler that produced the results.
-	Mechanism Mechanism
+	// Strategy is the canonical name of the simulated strategy.
+	Strategy string
 	// Replications is the number of independent runs.
 	Replications int
 	// Zeta, Phi and Rho are across-replication means of the per-epoch
@@ -583,7 +575,7 @@ type ReplicatedSummary struct {
 // fan out across a bounded worker pool — WithParallelism sets the
 // width, defaulting to GOMAXPROCS — and the result is bit-identical to
 // a serial run for any width.
-func SimulateReplications(s *Scenario, m Mechanism, reps int, opts ...SimOption) (*ReplicatedSummary, error) {
+func SimulateReplications(s *Scenario, strategy string, reps int, opts ...SimOption) (*ReplicatedSummary, error) {
 	if s == nil || s.inner == nil {
 		return nil, errors.New("rushprobe: nil scenario")
 	}
@@ -591,7 +583,7 @@ func SimulateReplications(s *Scenario, m Mechanism, reps int, opts ...SimOption)
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cfg, err := simConfig(s, m, o)
+	cfg, name, err := simConfig(s, strategy, o)
 	if err != nil {
 		return nil, err
 	}
@@ -600,7 +592,7 @@ func SimulateReplications(s *Scenario, m Mechanism, reps int, opts ...SimOption)
 		return nil, err
 	}
 	out := &ReplicatedSummary{
-		Mechanism:    Mechanism(rep.Runs[0].SchedulerName),
+		Strategy:     name,
 		Replications: len(rep.Runs),
 		Zeta:         rep.MeanZeta,
 		Phi:          rep.MeanPhi,
@@ -610,7 +602,7 @@ func SimulateReplications(s *Scenario, m Mechanism, reps int, opts ...SimOption)
 		Runs:         make([]*SimSummary, len(rep.Runs)),
 	}
 	for i, r := range rep.Runs {
-		out.Runs[i] = newSimSummary(r)
+		out.Runs[i] = newSimSummary(name, r)
 	}
 	return out, nil
 }

@@ -83,8 +83,8 @@ func TestSimulateQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Mechanism != SNIPRH {
-		t.Errorf("mechanism = %v", sum.Mechanism)
+	if sum.Strategy != SNIPRH {
+		t.Errorf("strategy = %v", sum.Strategy)
 	}
 	if sum.Epochs != 6 || len(sum.PerEpochZeta) != 6 {
 		t.Errorf("epochs = %d, per-epoch = %d", sum.Epochs, len(sum.PerEpochZeta))
@@ -98,8 +98,8 @@ func TestSimulateQuick(t *testing.T) {
 	if _, err := Simulate(nil, SNIPRH); err == nil {
 		t.Error("nil scenario should error")
 	}
-	if _, err := Simulate(sc, Mechanism("bogus")); err == nil {
-		t.Error("unknown mechanism should error")
+	if _, err := Simulate(sc, "bogus"); err == nil {
+		t.Error("unknown strategy should error")
 	}
 }
 
@@ -241,13 +241,6 @@ func TestMotivationGainFacade(t *testing.T) {
 	}
 }
 
-func TestMechanismsOrder(t *testing.T) {
-	ms := Mechanisms()
-	if len(ms) != 3 || ms[0] != SNIPAT || ms[1] != SNIPOPT || ms[2] != SNIPRH {
-		t.Errorf("mechanisms = %v", ms)
-	}
-}
-
 func TestSimulateReportsLatency(t *testing.T) {
 	sc := Roadside(WithZetaTarget(16))
 	sum, err := Simulate(sc, SNIPRH, WithEpochs(6), WithSeed(4))
@@ -313,7 +306,7 @@ func TestSimulateFleetClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Strategy != string(SNIPOPT) {
+	if sum.Strategy != SNIPOPT {
 		t.Fatalf("strategy = %s, want %s", sum.Strategy, SNIPOPT)
 	}
 	if sum.Nodes != 8 || len(sum.PerEpoch) != 6 {
@@ -343,6 +336,9 @@ func TestSimulateFleetOptionGuards(t *testing.T) {
 	}
 	if _, err := SimulateFleet(sc, SNIPOPT, WithEpochs(0)); err == nil {
 		t.Error("an explicit WithEpochs(0) must not silently become the default")
+	}
+	if _, err := SimulateFleet(sc, SNIPOPT, WithStrategy("rh")); err == nil {
+		t.Error("SimulateFleet takes its strategy as the argument and must reject WithStrategy")
 	}
 	if _, err := Simulate(sc, SNIPRH, WithEpochs(2), WithNodes(4)); err == nil {
 		t.Error("Simulate must reject WithNodes")

@@ -1,6 +1,9 @@
 package rushprobe
 
 import (
+	"go/ast"
+	"go/token"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -31,28 +34,32 @@ func TestStrategiesRegistry(t *testing.T) {
 }
 
 // TestSimulateWithStrategy runs the simulation through the strategy
-// seam: the override picks the scheduler regardless of the mechanism
-// argument, aliases resolve, and double selection errors.
+// registry: an alias resolves and the summary reports the canonical
+// name, unknown names error, and WithStrategy — RunExperiment's axis —
+// is rejected instead of overriding the argument.
 func TestSimulateWithStrategy(t *testing.T) {
 	sc := Roadside(WithZetaTarget(16))
-	sum, err := Simulate(sc, SNIPAT, WithEpochs(3), WithStrategy("rh"))
+	sum, err := Simulate(sc, "rh", WithEpochs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Mechanism != SNIPRH {
-		t.Fatalf("mechanism = %s, want %s (strategy override must win)", sum.Mechanism, SNIPRH)
+	if sum.Strategy != SNIPRH {
+		t.Fatalf("strategy = %s, want the canonical %s", sum.Strategy, SNIPRH)
 	}
 	base, err := Simulate(sc, SNIPRH, WithEpochs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Zeta != sum.Zeta || base.Phi != sum.Phi {
-		t.Fatalf("strategy-selected run differs from mechanism run: %+v vs %+v", sum, base)
+		t.Fatalf("alias run differs from canonical run: %+v vs %+v", sum, base)
 	}
-	if _, err := Simulate(sc, SNIPAT, WithEpochs(3), WithStrategy("rh"), WithStrategy("opt")); err == nil {
-		t.Fatal("two WithStrategy options in Simulate should error")
+	if _, err := Simulate(sc, SNIPAT, WithEpochs(3), WithStrategy("rh")); err == nil {
+		t.Fatal("Simulate must reject WithStrategy")
 	}
-	if _, err := Simulate(sc, SNIPAT, WithEpochs(3), WithStrategy("SNIP-BOGUS")); err == nil {
+	if _, err := SimulateReplications(sc, SNIPAT, 2, WithEpochs(3), WithStrategy("rh")); err == nil {
+		t.Fatal("SimulateReplications must reject WithStrategy")
+	}
+	if _, err := Simulate(sc, "SNIP-BOGUS", WithEpochs(3)); err == nil {
 		t.Fatal("unknown strategy should error")
 	}
 }
@@ -63,5 +70,33 @@ func TestRunExperimentStrategyAxis(t *testing.T) {
 	_, err := RunExperiment("fig5", 1, WithStrategy("rh"))
 	if err == nil || !strings.Contains(err.Error(), "no strategy axis") {
 		t.Fatalf("fig5 with a strategy selection: err = %v, want a no-strategy-axis error", err)
+	}
+}
+
+// TestStrategyNamesDeclaredOnce keeps the strategy registry the one
+// place a strategy's name is spelled: no non-test Go file of the module
+// other than internal/strategy/builtin.go may hold a string literal
+// equal to a built-in strategy's canonical name. Everything else refers
+// to strategy.Name* (or rushprobe.SNIP*) or resolves a name through
+// strategy.Lookup. Prose that merely mentions a name inside a longer
+// literal is fine.
+func TestStrategyNamesDeclaredOnce(t *testing.T) {
+	names := map[string]bool{SNIPAT: true, SNIPOPT: true, SNIPRH: true, SNIPAdaptiveRH: true}
+	const home = "internal/strategy/builtin.go"
+	fset, files := parseModuleFiles(t, false)
+	for path, f := range files {
+		if path == home {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return true
+			}
+			if v, err := strconv.Unquote(lit.Value); err == nil && names[v] {
+				t.Errorf("%s: string literal %s duplicates a strategy name declared in %s", fset.Position(lit.Pos()), lit.Value, home)
+			}
+			return true
+		})
 	}
 }
