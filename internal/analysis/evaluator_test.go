@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rushprobe/internal/pool"
 	"rushprobe/internal/scenario"
 )
 
@@ -95,6 +96,41 @@ func TestEvaluatorMatchesOneShotNormalLengths(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("target %g: evaluator plan differs from OPTPlan", target)
+		}
+	}
+}
+
+// One shared Evaluator, driven over the paper's targets by the worker
+// pool the way Figures 5 and 6 are built, must give the serial points at
+// every parallelism setting: concurrent Point calls only share the
+// memoized work, never change a result.
+func TestSweepTargetsParallelDeterministic(t *testing.T) {
+	base := scenario.Roadside(scenario.WithFixedLengths(), scenario.WithBudgetFraction(1.0/1000))
+	sweep := func(workers int) ([][3]Result, error) {
+		ev, err := NewEvaluator(base)
+		if err != nil {
+			return nil, err
+		}
+		targets := PaperTargets()
+		points := make([][3]Result, len(targets))
+		err = pool.ForEach(len(targets), workers, func(i int) error {
+			at, op, rh, err := ev.Point(targets[i])
+			points[i] = [3]Result{at, op, rh}
+			return err
+		})
+		return points, err
+	}
+	serial, err := sweep(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 2, 16} {
+		parallel, err := sweep(workers)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Errorf("parallelism %d: sweep differs from serial", workers)
 		}
 	}
 }
